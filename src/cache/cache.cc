@@ -7,7 +7,7 @@
 
 namespace rcnvm::cache {
 
-Cache::Cache(const CacheConfig &config)
+Cache::Cache(const CacheConfig &config, bool sharerMasks)
     : config_(config), numSets_(config.numSets())
 {
     if (!util::isPowerOfTwo(numSets_))
@@ -18,15 +18,19 @@ Cache::Cache(const CacheConfig &config)
         std::countr_zero(config_.lineBytes));
     setMask_ = numSets_ - 1;
     lines_.resize(std::size_t{numSets_} * config_.ways);
+    if (sharerMasks)
+        sharers_.resize(lines_.size());
 }
 
 std::optional<Cache::Victim>
 Cache::invalidate(const LineKey &key)
 {
-    CacheLine *line = find(key);
+    // No LRU stamp: the line is about to be dropped.
+    CacheLine *line = match(setBase(lines_.data(), key), key);
     if (!line)
         return std::nullopt;
-    Victim v{line->key(), line->state, line->crossing};
+    Victim v{line->key(), line->state, line->crossing,
+             sharers_.empty() ? SharerMask{0} : sharers(*line)};
     if (line->orient == Orientation::Row)
         --rowLines_;
     else

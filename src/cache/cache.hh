@@ -1,7 +1,8 @@
 /**
  * @file
  * A single set-associative cache level with LRU replacement,
- * orientation-aware tags, crossing-bit storage, and pinning.
+ * orientation-aware tags, crossing-bit storage, pinning, and (for the
+ * shared L3) a core-sharer mask per line.
  */
 
 #ifndef RCNVM_CACHE_CACHE_HH_
@@ -31,6 +32,9 @@ struct CacheConfig {
     }
 };
 
+/** One bit per core: which private caches may hold an L3 line. */
+using SharerMask = std::uint32_t;
+
 /**
  * The tag/state array of one cache. Timing lives in the hierarchy;
  * this class is purely functional state.
@@ -38,18 +42,24 @@ struct CacheConfig {
  * Row- and column-oriented lines share the sets (indexed by their
  * own addresses) and are distinguished by the orientation bit during
  * tag match, exactly as described in Sec. 4.3.1.
+ *
+ * A cache built with sharer masks keeps one SharerMask per line in an
+ * array beside the tags, so CacheLine (shared by every level) does
+ * not grow. A freshly placed line starts with an empty mask; the
+ * hierarchy sets and clears bits through sharers().
  */
 class Cache
 {
   public:
-    /** Description of a line evicted by insert(). */
+    /** Description of a line evicted by insert() or invalidate(). */
     struct Victim {
         LineKey key;
         MesiState state = MesiState::Invalid;
         std::uint8_t crossing = 0;
+        SharerMask sharers = 0; //!< 0 without sharer masks
     };
 
-    explicit Cache(const CacheConfig &config);
+    explicit Cache(const CacheConfig &config, bool sharerMasks = false);
 
     /** The configuration this cache was built with. */
     const CacheConfig &config() const { return config_; }
@@ -72,39 +82,26 @@ class Cache
         const std::size_t bytes = sizeof(CacheLine) * config_.ways;
         for (std::size_t off = 0; off < bytes; off += 64)
             __builtin_prefetch(p + off);
+        if (!sharers_.empty())
+            __builtin_prefetch(
+                &sharers_[std::size_t{setIndex(key)} * config_.ways]);
     }
 
     /** Look up a line; returns nullptr on miss. Updates LRU on hit. */
     CacheLine *
     find(const LineKey &key)
     {
-        const unsigned set = setIndex(key);
-        CacheLine *base = &lines_[std::size_t{set} * config_.ways];
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            CacheLine &line = base[w];
-            if (live(line) && line.tag == key.addr &&
-                line.orient == key.orient) {
-                line.lru = ++lruClock_;
-                return &line;
-            }
-        }
-        return nullptr;
+        CacheLine *line = match(setBase(lines_.data(), key), key);
+        if (line)
+            line->lru = ++lruClock_;
+        return line;
     }
 
     /** Look up without disturbing replacement state. */
     const CacheLine *
     probe(const LineKey &key) const
     {
-        const unsigned set = setIndex(key);
-        const CacheLine *base = &lines_[std::size_t{set} * config_.ways];
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            const CacheLine &line = base[w];
-            if (live(line) && line.tag == key.addr &&
-                line.orient == key.orient) {
-                return &line;
-            }
-        }
-        return nullptr;
+        return match(setBase(lines_.data(), key), key);
     }
 
     /**
@@ -112,13 +109,15 @@ class Cache
      * full. If every way is pinned, the LRU pinned line is unpinned
      * and evicted (counted in the pinnedEvictions statistic).
      *
+     * @param placed when non-null, receives the line now holding
+     *   @p key (the re-used line on a match)
      * @return the evicted victim, if any
      */
     std::optional<Victim>
-    insert(const LineKey &key, MesiState state)
+    insert(const LineKey &key, MesiState state,
+           CacheLine **placed = nullptr)
     {
-        const unsigned set = setIndex(key);
-        CacheLine *base = &lines_[std::size_t{set} * config_.ways];
+        CacheLine *base = setBase(lines_.data(), key);
 
         // One pass: match the key, remember the first free way, and
         // keep the LRU candidates ready in case the set is all live.
@@ -132,6 +131,8 @@ class Cache
                     line.orient == key.orient) {
                     line.state = state;
                     line.lru = ++lruClock_;
+                    if (placed)
+                        *placed = &line;
                     return std::nullopt;
                 }
                 if (!lru_any || line.lru < lru_any->lru)
@@ -154,8 +155,8 @@ class Cache
             if (!lru_unpinned)
                 ++pinnedEvictions_;
 
-            victim =
-                Victim{target->key(), target->state, target->crossing};
+            victim = Victim{target->key(), target->state,
+                            target->crossing, 0};
             if (target->orient == Orientation::Row)
                 --rowLines_;
             else
@@ -173,6 +174,17 @@ class Cache
             ++rowLines_;
         else
             ++columnLines_;
+        if (!sharers_.empty()) {
+            // A placed line starts with no sharers; only a displaced
+            // live line hands its mask over (a free way's slot may be
+            // stale).
+            SharerMask &mask = sharers(*target);
+            if (victim)
+                victim->sharers = mask;
+            mask = 0;
+        }
+        if (placed)
+            *placed = target;
         return victim;
     }
 
@@ -181,6 +193,32 @@ class Cache
 
     /** Pin or unpin a line; returns false when absent. */
     bool setPinned(const LineKey &key, bool pinned);
+
+    /** Sharer mask of @p line, a line of this cache (caches built
+     *  with sharer masks only). */
+    SharerMask &
+    sharers(const CacheLine &line)
+    {
+        return sharers_[static_cast<std::size_t>(&line - lines_.data())];
+    }
+
+    /** Read-only form of sharers(). */
+    SharerMask
+    sharers(const CacheLine &line) const
+    {
+        return sharers_[static_cast<std::size_t>(&line - lines_.data())];
+    }
+
+    /** Call @p fn with every valid line (invariant checks). */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (const CacheLine &line : lines_) {
+            if (live(line))
+                fn(line);
+        }
+    }
 
     /** Number of valid column-oriented lines (probe filtering). */
     std::uint64_t columnLines() const { return columnLines_; }
@@ -202,6 +240,30 @@ class Cache
     void reset();
 
   private:
+    /** First way of @p key's set in @p lines (const or not). */
+    template <typename Line>
+    Line *
+    setBase(Line *lines, const LineKey &key) const
+    {
+        return lines + std::size_t{setIndex(key)} * config_.ways;
+    }
+
+    /** The live way of the set at @p base holding @p key, or
+     *  nullptr. Touches no replacement state. */
+    template <typename Line>
+    Line *
+    match(Line *base, const LineKey &key) const
+    {
+        for (unsigned w = 0; w < config_.ways; ++w) {
+            Line &line = base[w];
+            if (live(line) && line.tag == key.addr &&
+                line.orient == key.orient) {
+                return &line;
+            }
+        }
+        return nullptr;
+    }
+
     /** Shift/mask rather than divide/modulo: the constructor demands
      *  power-of-two line size and set count, and two runtime integer
      *  divisions here would otherwise lead every set scan. */
@@ -227,6 +289,7 @@ class Cache
     std::uint32_t lineShift_ = 0; //!< log2(lineBytes)
     std::uint32_t setMask_ = 0;   //!< numSets - 1
     std::vector<CacheLine> lines_; //!< numSets_ x ways, row-major
+    std::vector<SharerMask> sharers_; //!< per line, or empty
     std::uint32_t epoch_ = 0;      //!< current reset generation
     std::uint64_t lruClock_ = 0;
     std::uint64_t rowLines_ = 0;

@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/bitfield.hh"
 #include "util/chrome_trace.hh"
@@ -8,22 +9,40 @@
 
 namespace rcnvm::cache {
 
+namespace {
+
+/** Call @p fn with the index of every set bit of @p mask, in
+ *  ascending order. */
+template <typename Fn>
+void
+forEachSharer(SharerMask mask, Fn &&fn)
+{
+    for (; mask != 0; mask &= mask - 1)
+        fn(static_cast<unsigned>(std::countr_zero(mask)));
+}
+
+} // namespace
+
 Hierarchy::Hierarchy(const HierarchyConfig &config, sim::EventQueue &eq,
                      mem::MemoryTier &memory)
     : config_(config),
       eq_(eq),
       memory_(memory),
       synonymEnabled_(memory.caps().columnAccess),
-      synonym_(memory.map()),
+      synonym_(memory.map(), synonymEnabled_),
       mshrs_(config.mshrs),
       deferredInChannel_(memory.channels(), 0),
       retryHandlers_(config.cores)
 {
+    if (config_.cores > kMaxCores) {
+        rcnvm_fatal("the L3 sharer mask holds ", kMaxCores,
+                    " cores, not ", config_.cores);
+    }
     for (unsigned c = 0; c < config_.cores; ++c) {
         l1_.push_back(std::make_unique<Cache>(config_.l1));
         l2_.push_back(std::make_unique<Cache>(config_.l2));
     }
-    l3_ = std::make_unique<Cache>(config_.l3);
+    l3_ = std::make_unique<Cache>(config_.l3, /*sharerMasks=*/true);
     memory_.setRetryCallback([this] { onMemorySpace(); });
 }
 
@@ -46,8 +65,11 @@ Hierarchy::onL3Fill(const LineKey &key)
     CpuCycles extra = config_.synonymProbe;
     synonymProbes_.inc(SynonymMapper::wordsPerLine);
 
+    const auto crossings = synonym_.crossings(key);
+    for (const Crossing &c : crossings)
+        l3_->prefetchSet(c.partner);
     CacheLine *self = l3_->find(key);
-    for (const Crossing &c : synonym_.crossings(key)) {
+    for (const Crossing &c : crossings) {
         CacheLine *partner = l3_->find(c.partner);
         if (!partner)
             continue;
@@ -75,20 +97,20 @@ Hierarchy::onWrite(unsigned core, const LineKey &key, unsigned word)
     const Crossing c = synonym_.crossingOfWord(key, word);
     CacheLine *partner = l3_->find(c.partner);
     CpuCycles extra = config_.synonymUpdate;
-    if (partner)
+    if (partner) {
+        // Inclusion: no private copy of a partner absent from the L3.
         partner->state = MesiState::Modified;
-    for (unsigned i = 0; i < config_.cores; ++i) {
-        if (i == core)
-            continue;
-        if (CacheLine *p1 = l1_[i]->find(c.partner))
-            p1->state = MesiState::Modified;
-        if (CacheLine *p2 = l2_[i]->find(c.partner))
-            p2->state = MesiState::Modified;
+        const SharerMask sharers = l3_->sharers(*partner);
+        const auto markPrivate = [&](unsigned i) {
+            if (CacheLine *p1 = l1_[i]->find(c.partner))
+                p1->state = MesiState::Modified;
+            if (CacheLine *p2 = l2_[i]->find(c.partner))
+                p2->state = MesiState::Modified;
+        };
+        forEachSharer(sharers & ~coreBit(core), markPrivate);
+        if (sharers & coreBit(core))
+            markPrivate(core);
     }
-    if (CacheLine *own1 = l1_[core]->find(c.partner))
-        own1->state = MesiState::Modified;
-    if (CacheLine *own2 = l2_[core]->find(c.partner))
-        own2->state = MesiState::Modified;
 
     synonymUpdates_.inc();
     synonymTicks_.inc(config_.cyc(extra).value());
@@ -205,9 +227,10 @@ Hierarchy::notifyRetry()
 }
 
 void
-Hierarchy::backInvalidate(const LineKey &key, bool &was_dirty)
+Hierarchy::backInvalidate(const LineKey &key, SharerMask sharers,
+                          bool &was_dirty)
 {
-    for (unsigned i = 0; i < config_.cores; ++i) {
+    forEachSharer(sharers, [&](unsigned i) {
         if (auto v = l1_[i]->invalidate(key)) {
             if (v->state == MesiState::Modified)
                 was_dirty = true;
@@ -216,28 +239,40 @@ Hierarchy::backInvalidate(const LineKey &key, bool &was_dirty)
             if (v->state == MesiState::Modified)
                 was_dirty = true;
         }
-    }
+    });
 }
 
-void
+CacheLine &
+Hierarchy::includedL3(const LineKey &key)
+{
+    CacheLine *line = l3_->find(key);
+    if (!line)
+        rcnvm_panic("privately cached line missing from the L3");
+    return *line;
+}
+
+CacheLine &
 Hierarchy::fillL3(const LineKey &key, MesiState state, CpuCycles &extra)
 {
-    auto victim = l3_->insert(key, state);
+    CacheLine *line = nullptr;
+    auto victim = l3_->insert(key, state, &line);
     if (victim && victim->state != MesiState::Invalid) {
         // Inclusion: remove private copies of the evicted line.
         bool dirty = victim->state == MesiState::Modified;
-        backInvalidate(victim->key, dirty);
+        backInvalidate(victim->key, victim->sharers, dirty);
         onL3Evict(*victim);
         if (dirty)
             writeback(victim->key);
     }
     extra += onL3Fill(key);
+    return *line;
 }
 
 void
 Hierarchy::fillPrivate(unsigned core, const LineKey &key,
-                       MesiState state)
+                       CacheLine &l3line, MesiState state)
 {
+    l3_->sharers(l3line) |= coreBit(core);
     if (auto v2 = l2_[core]->insert(key, state)) {
         if (v2->state != MesiState::Invalid) {
             // L2 inclusion over L1.
@@ -247,8 +282,8 @@ Hierarchy::fillPrivate(unsigned core, const LineKey &key,
             }
             if (v2->state == MesiState::Modified) {
                 // Fold the dirty data back into the shared L3.
-                if (CacheLine *l3line = l3_->find(v2->key))
-                    l3line->state = MesiState::Modified;
+                if (CacheLine *held = l3_->find(v2->key))
+                    held->state = MesiState::Modified;
             }
         }
     }
@@ -256,19 +291,19 @@ Hierarchy::fillPrivate(unsigned core, const LineKey &key,
         if (v1->state == MesiState::Modified) {
             if (CacheLine *l2line = l2_[core]->find(v1->key))
                 l2line->state = MesiState::Modified;
-            else if (CacheLine *l3line = l3_->find(v1->key))
-                l3line->state = MesiState::Modified;
+            else if (CacheLine *held = l3_->find(v1->key))
+                held->state = MesiState::Modified;
         }
     }
 }
 
 CpuCycles
-Hierarchy::coherenceOnRead(unsigned core, const LineKey &key)
+Hierarchy::coherenceOnRead(unsigned core, const LineKey &key,
+                           CacheLine &l3line)
 {
     CpuCycles extra;
-    for (unsigned i = 0; i < config_.cores; ++i) {
-        if (i == core)
-            continue;
+    const SharerMask others = l3_->sharers(l3line) & ~coreBit(core);
+    forEachSharer(others, [&](unsigned i) {
         CacheLine *p1 = l1_[i]->find(key);
         CacheLine *p2 = l2_[i]->find(key);
         const bool dirty =
@@ -280,29 +315,29 @@ Hierarchy::coherenceOnRead(unsigned core, const LineKey &key)
                 p1->state = MesiState::Shared;
             if (p2)
                 p2->state = MesiState::Shared;
-            if (CacheLine *l3line = l3_->find(key))
-                l3line->state = MesiState::Modified;
+            l3line.state = MesiState::Modified;
             cohRemoteFetches_.inc();
             cohTicks_.inc(config_.cyc(config_.remoteFetchPenalty).value());
             extra += config_.remoteFetchPenalty;
         }
-    }
+    });
     return extra;
 }
 
 CpuCycles
-Hierarchy::coherenceOnWrite(unsigned core, const LineKey &key)
+Hierarchy::coherenceOnWrite(unsigned core, const LineKey &key,
+                            CacheLine &l3line)
 {
     CpuCycles extra;
     bool any = false;
-    for (unsigned i = 0; i < config_.cores; ++i) {
-        if (i == core)
-            continue;
+    SharerMask &sharers = l3_->sharers(l3line);
+    forEachSharer(sharers & ~coreBit(core), [&](unsigned i) {
         if (l1_[i]->invalidate(key))
             any = true;
         if (l2_[i]->invalidate(key))
             any = true;
-    }
+    });
+    sharers &= coreBit(core);
     if (any) {
         cohInvalidations_.inc();
         cohTicks_.inc(config_.cyc(config_.invalidatePenalty).value());
@@ -344,8 +379,9 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
     mshrs_.free(*entry);
 
     CpuCycles extra;
-    fillL3(key, any_write ? MesiState::Modified : MesiState::Exclusive,
-           extra);
+    CacheLine &l3line = fillL3(
+        key, any_write ? MesiState::Modified : MesiState::Exclusive,
+        extra);
 
     for (MshrTarget &t : fillScratch_) {
         if (t.prefetchOnly) {
@@ -363,14 +399,14 @@ Hierarchy::onFillComplete(unsigned mshr_idx)
         l2_[t.core]->prefetchSet(key);
         CpuCycles textra = extra;
         if (t.isWrite) {
-            textra += coherenceOnWrite(t.core, key);
+            textra += coherenceOnWrite(t.core, key, l3line);
             textra += onWrite(t.core, key, t.word);
         }
         const MesiState st =
             t.isWrite ? MesiState::Modified
             : (demand_targets == 1 && !any_write) ? MesiState::Exclusive
                                                   : MesiState::Shared;
-        fillPrivate(t.core, key, st);
+        fillPrivate(t.core, key, l3line, st);
         const Tick fill = config_.cyc(config_.l1Latency + textra);
         eq_.scheduleAfter(fill, [done = std::move(t.done),
                                  this]() mutable { done(eq_.now()); });
@@ -483,13 +519,13 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         accesses_.inc();
         l1Hits_.inc();
         if (a.isWrite) {
+            CacheLine &l3line = includedL3(key);
             if (line->state == MesiState::Shared)
-                lat += coherenceOnWrite(core, key);
+                lat += coherenceOnWrite(core, key, l3line);
             line->state = MesiState::Modified;
             if (CacheLine *l2line = l2_[core]->find(key))
                 l2line->state = MesiState::Modified;
-            if (CacheLine *l3line = l3_->find(key))
-                l3line->state = MesiState::Modified;
+            l3line.state = MesiState::Modified;
             lat += onWrite(core, key, word);
         }
         eq_.scheduleAfter(config_.cyc(lat),
@@ -506,12 +542,12 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
         l2Hits_.inc();
         MesiState fill_state = line->state;
         if (a.isWrite) {
+            CacheLine &l3line = includedL3(key);
             if (line->state == MesiState::Shared)
-                lat += coherenceOnWrite(core, key);
+                lat += coherenceOnWrite(core, key, l3line);
             line->state = MesiState::Modified;
             fill_state = MesiState::Modified;
-            if (CacheLine *l3line = l3_->find(key))
-                l3line->state = MesiState::Modified;
+            l3line.state = MesiState::Modified;
             lat += onWrite(core, key, word);
         }
         if (auto v1 = l1_[core]->insert(key, fill_state)) {
@@ -532,15 +568,15 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
     if (CacheLine *line = l3_->find(key)) {
         accesses_.inc();
         l3Hits_.inc();
-        lat += coherenceOnRead(core, key);
+        lat += coherenceOnRead(core, key, *line);
         MesiState fill_state = MesiState::Shared;
         if (a.isWrite) {
-            lat += coherenceOnWrite(core, key);
+            lat += coherenceOnWrite(core, key, *line);
             line->state = MesiState::Modified;
             fill_state = MesiState::Modified;
             lat += onWrite(core, key, word);
         }
-        fillPrivate(core, key, fill_state);
+        fillPrivate(core, key, *line, fill_state);
         eq_.scheduleAfter(config_.cyc(lat),
                           [done = std::move(done), this]() mutable {
                               done(eq_.now());
@@ -560,10 +596,10 @@ Hierarchy::access(unsigned core, const CacheAccess &a, DoneFn done)
             // copy, so no coherence traffic is needed; the line
             // re-enters dirty because memory never saw the data.
             CpuCycles extra;
-            fillL3(key, MesiState::Modified, extra);
+            CacheLine &l3line = fillL3(key, MesiState::Modified, extra);
             if (a.isWrite)
                 extra += onWrite(core, key, word);
-            fillPrivate(core, key, MesiState::Modified);
+            fillPrivate(core, key, l3line, MesiState::Modified);
             eq_.scheduleAfter(config_.cyc(lat + extra),
                               [done = std::move(done), this]() mutable {
                                   done(eq_.now());

@@ -10,6 +10,22 @@
  * clean-up work is charged to a synonym-overhead statistic that the
  * Figure-21 bench reports as an overhead ratio.
  *
+ * The directory state of an L3 line is a core-sharer mask (one bit
+ * per core, kept beside the L3 tags). Every private fill sets the
+ * filling core's bit; a write upgrade clears every bit but the
+ * writer's; an L3 eviction drops the mask with the line. Coherence,
+ * back-invalidation and synonym write propagation visit only the set
+ * bits, in ascending core order. The mask is a superset of the cores
+ * that really hold the line: a silent L2 eviction leaves its bit set.
+ * That is safe because probing a core that no longer holds the line
+ * finds nothing and changes nothing (a missing find() leaves the LRU
+ * state alone), so results equal a broadcast to every core; keeping
+ * the mask exact would cost an L3 lookup on every L2 eviction.
+ *
+ * The eight crossing partners of a line are one decode plus a fixed
+ * stride (see SynonymMapper), which needs square subarrays; the
+ * mapper checks that whenever synonym probing is enabled.
+ *
  * The memory side is non-blocking: misses allocate MSHRs whose
  * target lists coalesce concurrent requests for the same line,
  * dirty evictions park in a write-back buffer, and when either
@@ -94,6 +110,10 @@ struct CacheAccess {
 class Hierarchy
 {
   public:
+    /** Most cores a hierarchy supports: one per sharer-mask bit. */
+    static constexpr unsigned kMaxCores = 8 * sizeof(SharerMask);
+
+    /** Build the hierarchy; more than kMaxCores cores is fatal. */
     Hierarchy(const HierarchyConfig &config, sim::EventQueue &eq,
               mem::MemoryTier &memory);
 
@@ -156,7 +176,21 @@ class Hierarchy
     /** Drop all cache state and statistics. */
     void reset();
 
+    // Read-only views of the tag arrays, for invariant checks.
+
+    /** Core @p core's L1. */
+    const Cache &l1(unsigned core) const { return *l1_.at(core); }
+
+    /** Core @p core's L2. */
+    const Cache &l2(unsigned core) const { return *l2_.at(core); }
+
+    /** The shared L3 (the one level with sharer masks). */
+    const Cache &l3() const { return *l3_; }
+
   private:
+    /** Sharer-mask bit of @p core. */
+    static SharerMask coreBit(unsigned core) { return SharerMask{1} << core; }
+
     /** Charge and account synonym work on an L3 fill. */
     CpuCycles onL3Fill(const LineKey &key);
 
@@ -166,21 +200,33 @@ class Hierarchy
     /** Clear partner crossing bits when an L3 line leaves. */
     void onL3Evict(const Cache::Victim &victim);
 
-    /** Insert into L3 handling eviction side effects. */
-    void fillL3(const LineKey &key, MesiState state, CpuCycles &extra);
+    /** The L3 line of @p key, which a private cache holds
+     *  (inclusion); a missing line is a simulator bug. */
+    CacheLine &includedL3(const LineKey &key);
 
-    /** Insert into a private level, maintaining inclusion. */
+    /** Insert into L3 handling eviction side effects.
+     *  @return the L3 line now holding @p key */
+    CacheLine &fillL3(const LineKey &key, MesiState state,
+                      CpuCycles &extra);
+
+    /** Insert into @p core's private levels, maintaining inclusion;
+     *  @p l3line is @p key's L3 line, whose mask gains @p core. */
     void fillPrivate(unsigned core, const LineKey &key,
-                     MesiState state);
+                     CacheLine &l3line, MesiState state);
 
-    /** Invalidate a key from every private cache (back-inval). */
-    void backInvalidate(const LineKey &key, bool &was_dirty);
+    /** Invalidate a key from the private caches of every core in
+     *  @p sharers (back-invalidation). */
+    void backInvalidate(const LineKey &key, SharerMask sharers,
+                        bool &was_dirty);
 
     /** MESI: handle a miss that found the line in other cores. */
-    CpuCycles coherenceOnRead(unsigned core, const LineKey &key);
+    CpuCycles coherenceOnRead(unsigned core, const LineKey &key,
+                              CacheLine &l3line);
 
-    /** MESI: obtain exclusivity for a write. */
-    CpuCycles coherenceOnWrite(unsigned core, const LineKey &key);
+    /** MESI: obtain exclusivity for a write; the mask of @p l3line
+     *  keeps only the writer. */
+    CpuCycles coherenceOnWrite(unsigned core, const LineKey &key,
+                               CacheLine &l3line);
 
     /** Park a write-back of an evicted dirty line and try to send. */
     void writeback(const LineKey &key);

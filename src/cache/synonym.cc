@@ -1,6 +1,26 @@
 #include "cache/synonym.hh"
 
+#include "util/logging.hh"
+
 namespace rcnvm::cache {
+
+SynonymMapper::SynonymMapper(const mem::AddressMap &map, bool probing)
+    : map_(&map)
+{
+    // Measure the stride on the map itself, once per orientation:
+    // the partner of word 1 minus the partner of word 0 of line 0.
+    const auto strideOf = [this](Orientation o) {
+        const LineKey line{0, o};
+        return crossingOfWord(line, 1).partner.addr -
+               crossingOfWord(line, 0).partner.addr;
+    };
+    stride_ = strideOf(Orientation::Row);
+    if (probing && strideOf(Orientation::Column) != stride_) {
+        rcnvm_fatal("synonym probing needs square subarrays, not ",
+                    map.geometry().rowsPerSubarray, " rows x ",
+                    map.geometry().colsPerSubarray, " columns");
+    }
+}
 
 Crossing
 SynonymMapper::crossingOfWord(const LineKey &key,
@@ -26,9 +46,15 @@ SynonymMapper::crossingOfWord(const LineKey &key,
 std::array<Crossing, SynonymMapper::wordsPerLine>
 SynonymMapper::crossings(const LineKey &key) const
 {
+    // One decode/encode for word 0; the rest follow by the stride.
+    const Crossing first = crossingOfWord(key, 0);
     std::array<Crossing, wordsPerLine> out;
-    for (unsigned w = 0; w < wordsPerLine; ++w)
-        out[w] = crossingOfWord(key, w);
+    for (unsigned w = 0; w < wordsPerLine; ++w) {
+        out[w] = Crossing{
+            LineKey{first.partner.addr + w * stride_,
+                    first.partner.orient},
+            w, first.partnerWord};
+    }
     return out;
 }
 

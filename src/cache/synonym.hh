@@ -7,6 +7,14 @@
  * column-oriented line (8 consecutive words of one physical column),
  * and vice versa. These helpers enumerate the 8 potential crossing
  * lines of a given line and locate the shared word in each.
+ *
+ * A line's eight words sit in consecutive slots of its B field (see
+ * mem::AddressMap), so their partners differ only in the other
+ * orientation's A field: the partners of words 1..7 are the partner
+ * of word 0 plus a fixed stride, and all eight share one partner
+ * word. The stride is the same for both orientations only when the
+ * subarrays are square (as many rows as columns), which is what a
+ * dual-addressable device has.
  */
 
 #ifndef RCNVM_CACHE_SYNONYM_HH_
@@ -37,7 +45,14 @@ class SynonymMapper
     /** Words per cache line (64 B / 8 B). */
     static constexpr unsigned wordsPerLine = 8;
 
-    explicit SynonymMapper(const mem::AddressMap &map) : map_(&map) {}
+    /**
+     * Build a mapper over @p map. With @p probing set, a map whose
+     * subarrays are not square is a fatal configuration error;
+     * without it the mapper is inert and crossings() must not be
+     * called.
+     */
+    explicit SynonymMapper(const mem::AddressMap &map,
+                           bool probing = true);
 
     /**
      * Enumerate the 8 lines of the opposite orientation that share a
@@ -55,6 +70,7 @@ class SynonymMapper
 
   private:
     const mem::AddressMap *map_;
+    Addr stride_ = 0; //!< partner distance between adjacent words
 };
 
 } // namespace rcnvm::cache

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the set-associative cache: orientation-aware tag match,
- * LRU replacement, pinning, crossing-bit storage, and the synonym
- * crossing geometry of Figure 8.
+ * LRU replacement, pinning, crossing-bit storage, sharer masks, and
+ * the synonym crossing geometry of Figure 8.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "cache/cache.hh"
 #include "cache/synonym.hh"
 #include "mem/geometry.hh"
+#include "util/random.hh"
 
 namespace rcnvm::cache {
 namespace {
@@ -196,6 +197,63 @@ TEST(CacheTest, ResetDropsEverything)
     EXPECT_EQ(cache.columnLines(), 0u);
 }
 
+TEST(CacheTest, SharerMaskTravelsWithTheVictim)
+{
+    Cache cache(tinyConfig(), /*sharerMasks=*/true);
+    const LineKey key{0x40, Orientation::Row};
+    cache.insert(key, MesiState::Shared);
+    CacheLine *line = cache.find(key);
+    ASSERT_NE(line, nullptr);
+    EXPECT_EQ(cache.sharers(*line), 0u); // a new line has no sharers
+    cache.sharers(*line) = 0b1010;
+
+    // A re-insert of a present line keeps its mask.
+    CacheLine *placed = nullptr;
+    EXPECT_FALSE(cache.insert(key, MesiState::Modified, &placed));
+    EXPECT_EQ(placed, line);
+    EXPECT_EQ(cache.sharers(*line), 0b1010u);
+
+    const auto gone = cache.invalidate(key);
+    ASSERT_TRUE(gone.has_value());
+    EXPECT_EQ(gone->sharers, 0b1010u);
+
+    // Refill the freed way, then evict it: the mask started at 0 and
+    // leaves with whatever was set since.
+    cache.insert(key, MesiState::Shared, &placed);
+    EXPECT_EQ(cache.sharers(*placed), 0u);
+    cache.sharers(*placed) = 0b1;
+    for (unsigned i = 1; i < 8; ++i) {
+        cache.insert(LineKey{0x40 + Addr{i} * 256, Orientation::Row},
+                     MesiState::Shared);
+    }
+    const auto victim = cache.insert(
+        LineKey{0x40 + 8 * 256, Orientation::Row}, MesiState::Shared,
+        &placed);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->key, key);
+    EXPECT_EQ(victim->sharers, 0b1u);
+    EXPECT_EQ(cache.sharers(*placed), 0u);
+}
+
+TEST(CacheTest, MissedLookupsLeaveReplacementOrderAlone)
+{
+    // The L3 sharer masks may name cores that no longer hold a line;
+    // probing them is safe only because a missed find() or
+    // invalidate() changes nothing.
+    Cache cache(tinyConfig());
+    for (unsigned i = 0; i < 8; ++i) {
+        cache.insert(LineKey{Addr{i} * 256, Orientation::Row},
+                     MesiState::Shared);
+    }
+    const LineKey absent{0, Orientation::Column};
+    EXPECT_EQ(cache.find(absent), nullptr);
+    EXPECT_FALSE(cache.invalidate(absent).has_value());
+    const auto victim = cache.insert(LineKey{8 * 256, Orientation::Row},
+                                     MesiState::Shared);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->key.addr, 0u);
+}
+
 TEST(CacheConfigTest, SetCountArithmetic)
 {
     CacheConfig l1{"L1", 32 * 1024, 64, 8};
@@ -287,6 +345,34 @@ TEST_F(SynonymFixture, ColumnLinePartnersAreRowLines)
         // Partner word = our column within the row line's span.
         EXPECT_EQ(crossings[w].partnerWord, 7u % 8);
     }
+}
+
+TEST_F(SynonymFixture, StridedCrossingsMatchPerWordCrossings)
+{
+    util::Random rng(1201);
+    const Addr lines = map_.geometry().capacityBytes() / 64;
+    for (unsigned i = 0; i < 2000; ++i) {
+        const Orientation o =
+            rng.nextBool(0.5) ? Orientation::Row : Orientation::Column;
+        const LineKey key{rng.nextBounded(lines) * 64, o};
+        const auto crossings = synonym_.crossings(key);
+        for (unsigned w = 0; w < SynonymMapper::wordsPerLine; ++w) {
+            const Crossing one = synonym_.crossingOfWord(key, w);
+            EXPECT_EQ(crossings[w].partner, one.partner)
+                << "line " << key.addr << " word " << w;
+            EXPECT_EQ(crossings[w].selfWord, one.selfWord);
+            EXPECT_EQ(crossings[w].partnerWord, one.partnerWord);
+        }
+    }
+}
+
+TEST(SynonymMapperTest, ProbingNeedsSquareSubarrays)
+{
+    const mem::AddressMap dram{mem::Geometry::dram()};
+    const SynonymMapper inert(dram, /*probing=*/false);
+    (void)inert;
+    EXPECT_EXIT(SynonymMapper(dram, /*probing=*/true),
+                ::testing::ExitedWithCode(1), "square subarrays");
 }
 
 TEST_F(SynonymFixture, PartnerAddressesAreLineAligned)

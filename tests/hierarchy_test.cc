@@ -2,7 +2,8 @@
  * @file
  * Tests for the cache hierarchy: level latencies, MESI coherence
  * actions, the synonym engine (crossing bits, write propagation,
- * eviction clean-up), pinning, and gather bypass.
+ * eviction clean-up), pinning, gather bypass, and the L3 sharer
+ * masks.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "cache/hierarchy.hh"
 #include "mem/memory_system.hh"
 #include "sim/event_queue.hh"
+#include "util/random.hh"
 
 namespace rcnvm::cache {
 namespace {
@@ -255,6 +257,97 @@ TEST(HierarchyTest, DirtyEvictionWritesBack)
     }
     EXPECT_GT(hierarchy.stats().get("cache.writebacks"), 0.0);
     EXPECT_GT(memory.stats().get("mem.writes"), 0.0);
+}
+
+/** Count privately cached lines that break the directory invariant:
+ *  each must be in the L3 (inclusion) with its core's sharer bit
+ *  set, so that probing only the set bits reaches every copy a
+ *  broadcast to all cores would. */
+unsigned
+directoryViolations(const Hierarchy &h)
+{
+    unsigned bad = 0;
+    for (unsigned core = 0; core < h.config().cores; ++core) {
+        const auto check = [&](const CacheLine &line) {
+            const CacheLine *home = h.l3().probe(line.key());
+            if (!home) {
+                ADD_FAILURE() << "core " << core << " holds line "
+                              << line.tag << " absent from the L3";
+                ++bad;
+            } else if (!((h.l3().sharers(*home) >> core) & 1u)) {
+                ADD_FAILURE() << "core " << core << " holds line "
+                              << line.tag << " without its sharer bit";
+                ++bad;
+            }
+        };
+        h.l1(core).forEachLine(check);
+        h.l2(core).forEachLine(check);
+    }
+    return bad;
+}
+
+TEST(HierarchyTest, SharerMasksCoverEveryPrivateCopy)
+{
+    sim::EventQueue eq;
+    mem::MemorySystem memory{mem::DeviceKind::RcNvm, eq};
+    HierarchyConfig config;
+    config.cores = 16;
+    // Tiny levels, so that L1, L2 and L3 evictions are all frequent.
+    config.l1 = CacheConfig{"L1", 512, 64, 2};
+    config.l2 = CacheConfig{"L2", 2 * 1024, 64, 4};
+    config.l3 = CacheConfig{"L3", 8 * 1024, 64, 8};
+    Hierarchy h{config, eq, memory};
+
+    // A 32 x 32-word corner of one subarray: 128 row lines and 128
+    // column lines, each crossing eight of the other orientation.
+    util::Random rng(1202);
+    const auto randomAccess = [&] {
+        mem::DecodedAddr d;
+        d.row = static_cast<unsigned>(rng.nextBounded(32));
+        d.col = static_cast<unsigned>(rng.nextBounded(32));
+        CacheAccess a;
+        a.orient =
+            rng.nextBool(0.5) ? Orientation::Row : Orientation::Column;
+        a.addr = memory.map().encode(d, a.orient);
+        a.isWrite = rng.nextBool(0.4);
+        a.bytes = 8;
+        return a;
+    };
+
+    unsigned bad = 0;
+    for (unsigned step = 0; step < 4000 && bad == 0; ++step) {
+        // Up to three cores at once, so fills coalesce and complete
+        // between each other's accesses; the invariant is checked as
+        // each access completes.
+        const unsigned batch = 1 + rng.nextBounded(3);
+        for (unsigned i = 0; i < batch; ++i) {
+            const unsigned core =
+                static_cast<unsigned>(rng.nextBounded(config.cores));
+            ASSERT_TRUE(h.access(core, randomAccess(), [&](Tick) {
+                bad += directoryViolations(h);
+            }));
+        }
+        eq.run();
+    }
+    EXPECT_EQ(bad, 0u);
+
+    // The run reached every path that reads or writes the masks.
+    const auto stats = h.stats();
+    EXPECT_GT(stats.get("cache.cohInvalidations"), 0.0);
+    EXPECT_GT(stats.get("cache.cohRemoteFetches"), 0.0);
+    EXPECT_GT(stats.get("cache.synonymUpdates"), 0.0);
+    EXPECT_GT(stats.get("cache.writebacks"), 0.0);
+    EXPECT_GT(stats.get("cache.mshrCoalesced"), 0.0);
+}
+
+TEST(HierarchyTest, MoreCoresThanSharerBitsIsFatal)
+{
+    sim::EventQueue eq;
+    mem::MemorySystem memory{mem::DeviceKind::RcNvm, eq};
+    HierarchyConfig config;
+    config.cores = Hierarchy::kMaxCores + 1;
+    EXPECT_EXIT(Hierarchy(config, eq, memory),
+                ::testing::ExitedWithCode(1), "sharer mask holds");
 }
 
 TEST(HierarchyTest, StatsResetClearsEverything)

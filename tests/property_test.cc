@@ -9,18 +9,23 @@
  *  - bank timing monotonicity and outcome soundness over random
  *    request sequences on every preset;
  *  - end-to-end replay determinism for every device;
- *  - dual-address involution over the whole placement.
+ *  - dual-address involution over the whole placement, for the
+ *    column-capable devices.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "cpu/machine.hh"
 #include "imdb/database.hh"
 #include "imdb/plan_builder.hh"
 #include "mem/memory_system.hh"
+#include "mem/timing.hh"
 #include "util/random.hh"
 
 namespace rcnvm {
@@ -79,10 +84,14 @@ TEST_P(PlacementProperty, AddressesAreUniqueAndAligned)
     }
 }
 
-TEST_P(PlacementProperty, DualAddressInvolution)
+/** The placement properties that need column addressing. */
+class ColumnPlacementProperty : public PlacementProperty
 {
-    if (!db_->columnCapable())
-        GTEST_SKIP() << "row-only device";
+};
+
+TEST_P(ColumnPlacementProperty, DualAddressInvolution)
+{
+    ASSERT_TRUE(db_->columnCapable());
     const unsigned tw = table_->schema().tupleWords();
     for (std::uint64_t t = 0; t < table_->tuples(); t += 61) {
         for (unsigned w = 0; w < tw; w += 3) {
@@ -161,28 +170,49 @@ TEST_P(PlacementProperty, PhysicalScanTouchesEveryWordOnce)
               words + words / 16 + 1024); // <= ~6% edge slack
 }
 
+constexpr mem::DeviceKind kAllDevices[] = {
+    mem::DeviceKind::RcNvm, mem::DeviceKind::Rram, mem::DeviceKind::Dram,
+    mem::DeviceKind::GsDram};
+
+/** The devices that support column-oriented access. */
+std::vector<mem::DeviceKind>
+columnCapableDevices()
+{
+    std::vector<mem::DeviceKind> out;
+    for (const mem::DeviceKind kind : kAllDevices) {
+        if (mem::capsFor(kind).columnAccess)
+            out.push_back(kind);
+    }
+    return out;
+}
+
+std::string
+placementName(const ::testing::TestParamInfo<PlacementParam> &info)
+{
+    std::string name = toString(std::get<0>(info.param));
+    name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+    name += std::get<1>(info.param) == ChunkLayout::RowOriented
+                ? "_Row"
+                : "_Col";
+    name += "_" + std::to_string(std::get<2>(info.param)) + "f";
+    return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, PlacementProperty,
-    ::testing::Combine(
-        ::testing::Values(mem::DeviceKind::RcNvm,
-                          mem::DeviceKind::Rram,
-                          mem::DeviceKind::Dram,
-                          mem::DeviceKind::GsDram),
-        ::testing::Values(ChunkLayout::RowOriented,
-                          ChunkLayout::ColumnOriented),
-        ::testing::Values(8u, 16u, 20u)),
-    [](const ::testing::TestParamInfo<PlacementParam> &info) {
-        // Note: no structured bindings here - their brackets do not
-        // shield commas from the macro's argument splitting.
-        std::string name = toString(std::get<0>(info.param));
-        name.erase(std::remove(name.begin(), name.end(), '-'),
-                   name.end());
-        name += std::get<1>(info.param) == ChunkLayout::RowOriented
-                    ? "_Row"
-                    : "_Col";
-        name += "_" + std::to_string(std::get<2>(info.param)) + "f";
-        return name;
-    });
+    ::testing::Combine(::testing::ValuesIn(kAllDevices),
+                       ::testing::Values(ChunkLayout::RowOriented,
+                                         ChunkLayout::ColumnOriented),
+                       ::testing::Values(8u, 16u, 20u)),
+    placementName);
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ColumnPlacementProperty,
+    ::testing::Combine(::testing::ValuesIn(columnCapableDevices()),
+                       ::testing::Values(ChunkLayout::RowOriented,
+                                         ChunkLayout::ColumnOriented),
+                       ::testing::Values(8u, 16u, 20u)),
+    placementName);
 
 // ----------------------------------------------------------------
 // Bank timing properties over every preset.
