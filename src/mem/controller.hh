@@ -8,7 +8,6 @@
 #define RCNVM_MEM_CONTROLLER_HH_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -24,10 +23,6 @@
 #include "sim/event_queue.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
-
-namespace rcnvm::sim {
-class ShardMailbox;
-} // namespace rcnvm::sim
 
 namespace rcnvm::mem {
 
@@ -100,9 +95,6 @@ class ChannelController
     /** Number of queued (not yet issued) requests. */
     std::size_t queued() const { return totalQueued_; }
 
-    /** Configured request-queue depth. */
-    unsigned capacity() const { return capacity_; }
-
     /**
      * Register a backpressure hook: invoked (via a same-tick event,
      * never re-entrantly from inside the scheduler) whenever the
@@ -112,26 +104,6 @@ class ChannelController
     void setSpaceCallback(std::function<void()> cb)
     {
         spaceCb_ = std::move(cb);
-    }
-
-    /**
-     * Route completion callbacks through @p port instead of this
-     * channel's event queue (channel-sharded mode: completions must
-     * run on the core shard). While ported, the controller also
-     * counts dequeues in an atomic the core shard reads at window
-     * exchanges to maintain its occupancy mirror; the space callback
-     * mechanism is unused in this mode.
-     */
-    void setCompletionPort(sim::ShardMailbox *port)
-    {
-        completionPort_ = port;
-    }
-
-    /** Requests dequeued (issued to a bank) since construction or
-     *  reset. Safe to read from the core shard between rounds. */
-    std::uint64_t dequeueCount() const
-    {
-        return dequeued_.load(std::memory_order_acquire);
     }
 
     /** Controller statistics. */
@@ -204,8 +176,8 @@ class ChannelController
     const AddressMap &map_;
     TimingParams timing_;
     sim::EventQueue &eq_;
-    /** Selection policy; owned per controller so channel shards
-     *  never share policy state. */
+    /** Selection policy; owned per controller because policies may
+     *  keep per-channel state across rounds. */
     std::unique_ptr<SchedulerPolicy> policy_;
     unsigned capacity_;
     unsigned channelId_;
@@ -222,8 +194,6 @@ class ChannelController
     ControllerStats stats_;
     std::function<void()> spaceCb_;
     bool spaceNotifyPending_ = false;
-    sim::ShardMailbox *completionPort_ = nullptr;
-    std::atomic<std::uint64_t> dequeued_{0};
 
     /** Max bypasses of the globally oldest request. */
     static constexpr unsigned starvationCap = 16;

@@ -173,13 +173,6 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
                     "construction; use a DRAM device");
 }
 
-void
-HybridMemory::attachShardLink(sim::ParallelEngine &engine)
-{
-    far_.attachShardLink(engine);
-    near_.attachShardLink(engine);
-}
-
 bool
 HybridMemory::canAccept(Addr addr, Orientation orient) const
 {

@@ -11,13 +11,10 @@
  * mapped row first forces a write-back of the stale far segment so
  * column readers never observe pre-migration data.
  *
- * All tier state (remap table, tracker, frames) lives on the core
- * shard and is only touched from issue paths and core-shard events,
- * so the channel-sharded engine needs no extra synchronisation:
- * migration commits are core-shard events, and migration copy
- * traffic reaches the channels through the same window-boundary
- * mailboxes as demand traffic (THREADS=1 and THREADS=4 stay
- * stats-identical).
+ * All tier state (remap table, tracker, frames) is touched only from
+ * issue paths and events on the machine's event queue: migration
+ * commits are ordinary events, and migration copy traffic reaches
+ * the channels through the same issue path as demand traffic.
  */
 
 #ifndef RCNVM_MEM_HYBRID_TIER_HH_
@@ -59,7 +56,7 @@ struct TierFrame {
  * A migration policy: decides promotion on far-access locality,
  * demotion on column pressure, and victim ranking under capacity.
  * Stateless beyond its thresholds, so decisions are a pure function
- * of the tracker/frame inputs (deterministic across shard counts).
+ * of the tracker/frame inputs.
  */
 class MigrationPolicy
 {
@@ -112,17 +109,13 @@ struct HybridTierConfig {
 
 /**
  * The composed tier. Owns no devices: the far and near MemorySystems
- * are built (and their shard links attached) by the machine so their
- * controllers share the machine's channel shard queues.
+ * are built by the machine on its event queue.
  */
 class HybridMemory : public MemoryTier
 {
   public:
     HybridMemory(MemorySystem &far, MemorySystem &near,
                  const HybridTierConfig &config, sim::EventQueue &eq);
-
-    /** Wire both devices to the sharded engine. */
-    void attachShardLink(sim::ParallelEngine &engine);
 
     /** The migration policy in use. */
     const MigrationPolicy &policy() const { return *policy_; }

@@ -4,7 +4,7 @@
  * involution, the shadow-row-buffer locality tracker, migration
  * routing and policies on a directly-driven HybridMemory, and
  * whole-machine determinism of hybrid runs (same seed byte-identical
- * JSON, RCNVM_THREADS=1 vs 4 equivalence).
+ * JSON, streamed and fixed-plan runs equivalent).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cpu/machine.hh"
+#include "cpu/op_source.hh"
 #include "mem/hybrid_tier.hh"
 #include "olxp/service.hh"
 #include "util/stats_io.hh"
@@ -326,14 +327,13 @@ TEST(HybridMemory, ResetRestoresPristineState)
 // --- Whole-machine determinism -----------------------------------
 
 cpu::MachineConfig
-hybridShardedConfig(unsigned threads)
+hybridConfig()
 {
     cpu::MachineConfig config;
     config.device = DeviceKind::RcNvm;
     Geometry g = geometryFor(DeviceKind::RcNvm);
     g.channels = 4;
     config.geometry = g;
-    config.threads = threads;
     config.hierarchy.l3 =
         cache::CacheConfig{"L3", 64 * 1024, 64, 8};
     config.seed = 42;
@@ -374,9 +374,9 @@ hotRowPlans(const cpu::Machine &machine, unsigned ops_per_core)
 }
 
 std::string
-hybridRunJson(unsigned threads, double *promotions = nullptr)
+hybridRunJson(double *promotions = nullptr)
 {
-    cpu::Machine machine(hybridShardedConfig(threads));
+    cpu::Machine machine(hybridConfig());
     const std::vector<cpu::AccessPlan> plans =
         hotRowPlans(machine, 400);
     const cpu::RunResult r = machine.run(plans);
@@ -387,19 +387,44 @@ hybridRunJson(unsigned threads, double *promotions = nullptr)
     return os.str();
 }
 
+// The next two test names date from the removed channel-sharded
+// engine, which split this four-channel config across four workers.
+// The names are kept; both checks now run on the single event queue.
+
 TEST(HybridDeterminism, FourWorkersMatchSingleThreadByteForByte)
 {
+    // The four cores' plans pulled one operation at a time through
+    // runSources() must reproduce the fixed-plan run() byte for byte
+    // while the tier promotes and demotes mid-run.
     double promotions = 0;
-    const std::string single = hybridRunJson(1, &promotions);
-    const std::string sharded = hybridRunJson(4);
-    EXPECT_EQ(single, sharded);
+    const std::string fixed = hybridRunJson(&promotions);
+
+    cpu::Machine machine(hybridConfig());
+    const std::vector<cpu::AccessPlan> plans =
+        hotRowPlans(machine, 400);
+    std::vector<cpu::PlanOpSource> streams;
+    streams.reserve(plans.size());
+    std::vector<cpu::OpSource *> sources;
+    for (const cpu::AccessPlan &plan : plans) {
+        streams.emplace_back(plan);
+        sources.push_back(&streams.back());
+    }
+    const cpu::RunResult r = machine.runSources(sources);
+    std::ostringstream streamed;
+    util::writeStatsJson(streamed, r.stats, "hybrid", r.ticks);
+
+    EXPECT_EQ(fixed, streamed.str());
     // The equivalence must be exercised by real tier activity.
     EXPECT_GT(promotions, 0.0);
 }
 
 TEST(HybridDeterminism, ShardedHybridRunIsRepeatStable)
 {
-    EXPECT_EQ(hybridRunJson(4), hybridRunJson(4));
+    double promotions = 0;
+    const std::string first = hybridRunJson(&promotions);
+    EXPECT_EQ(first, hybridRunJson());
+    // The determinism must be exercised by real tier activity.
+    EXPECT_GT(promotions, 0.0);
 }
 
 TEST(HybridDeterminism, SameSeedHybridServiceRunsAreByteIdentical)
