@@ -9,7 +9,6 @@
 #define RCNVM_CACHE_LINE_HH_
 
 #include <cstdint>
-#include <functional>
 
 #include "util/types.hh"
 
@@ -45,32 +44,21 @@ struct LineKey {
     }
 };
 
-/** Hash for LineKey (used by directory bookkeeping). */
-struct LineKeyHash {
-    std::size_t
-    operator()(const LineKey &k) const
-    {
-        const std::size_t h = std::hash<Addr>{}(k.addr);
-        return h ^ (k.orient == Orientation::Column ? 0x9e3779b9u : 0u);
-    }
-};
-
-/** One cache line's tag-array entry. */
+/**
+ * One cache line's replacement and coherence state: the payload half
+ * of a tag-array entry. The line's identity (address, orientation,
+ * liveness) lives in the owning Cache's key array, so that a set scan
+ * reads only keys; this half is touched only for the matched way.
+ */
 struct CacheLine {
-    Addr tag = 0;          //!< full line address (within orientation)
-    Orientation orient = Orientation::Row;
+    std::uint32_t lru = 0; //!< LRU stamp (owning cache's clock)
     MesiState state = MesiState::Invalid;
     std::uint8_t crossing = 0; //!< crossing bit per 8-byte word
     bool pinned = false;       //!< group-caching pin
-    std::uint32_t epoch = 0;   //!< owning cache's reset generation
-    std::uint64_t lru = 0;     //!< LRU timestamp
-
-    bool valid() const { return state != MesiState::Invalid; }
-    bool dirty() const { return state == MesiState::Modified; }
-
-    /** Key identifying this (valid) line. */
-    LineKey key() const { return LineKey{tag, orient}; }
 };
+
+static_assert(sizeof(CacheLine) == 8,
+              "a cache line's payload stays one 8-byte word");
 
 } // namespace rcnvm::cache
 

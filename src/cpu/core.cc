@@ -40,6 +40,20 @@ Core::start(OpSource &source,
 }
 
 void
+Core::reset()
+{
+    if (!finished_)
+        rcnvm_panic("core ", id_, " reset while running a plan");
+    // start() re-arms the per-plan state; only what outlives a plan
+    // needs clearing here.
+    priority_ = false;
+    memOps_.reset();
+    stallTicks_.reset();
+    retries_.reset();
+    retryStallTicks_.reset();
+}
+
+void
 Core::scheduleAdvance(Tick when)
 {
     if (advanceScheduled_)

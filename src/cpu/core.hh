@@ -94,6 +94,10 @@ class Core
         return retryStallTicks_.value();
     }
 
+    /** Return an idle core to its as-built state: statistics
+     *  cleared, latency-class flag off. */
+    void reset();
+
   private:
     void advance();
     void scheduleAdvance(Tick when);

@@ -230,6 +230,11 @@ Machine::serve()
 void
 Machine::reset()
 {
+    // Time restarts at 0 first: the controllers and the tier stamp
+    // their statistics windows with the current tick as they reset.
+    eq_.reset();
+    for (auto &core : cores_)
+        core->reset();
     hierarchy_->reset();
     tier_->reset(); // the hybrid tier resets both devices
 }

@@ -158,7 +158,10 @@ class Machine
      *  clients attach run-queue gauges to it). */
     sim::EpochSampler *epochSampler() { return sampler_.get(); }
 
-    /** Drop all cache/bank state and statistics. */
+    /** Return the machine to its as-built state between runs: time
+     *  back to tick 0, and every core, cache, bank and tier with its
+     *  statistics cleared, so the next run reports exactly what it
+     *  would on a fresh machine. */
     void reset();
 
     /** Access to the hierarchy (tests and advanced callers). */

@@ -12,6 +12,19 @@ EventQueue::panicPastEvent(Tick when) const
     rcnvm_panic("event scheduled in the past: ", when, " < ", now_);
 }
 
+void
+EventQueue::reset()
+{
+    if (!heap_.empty())
+        rcnvm_panic("event queue reset with ", heap_.size(),
+                    " events pending");
+    slab_.clear();
+    free_.clear();
+    now_ = Tick{0};
+    nextSeq_ = 0;
+    executed_ = 0;
+}
+
 EventQueue::Entry
 EventQueue::popTop()
 {

@@ -87,8 +87,14 @@ class EventQueue
      *  simulator's hottest loop. */
     static constexpr std::size_t kHeapArity = 4;
 
-    /** Total number of events executed since construction. */
+    /** Total number of events executed since construction or the
+     *  last reset(). */
     std::uint64_t executed() const { return executed_; }
+
+    /** Rewind a drained queue to the state of a newly built one:
+     *  tick 0, insertion order and executed count restarted. Pending
+     *  events are a simulator bug (panic). */
+    void reset();
 
   private:
     /** Out-of-line cold path of schedule()'s precondition check. */

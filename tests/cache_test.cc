@@ -1,13 +1,17 @@
 /**
  * @file
  * Tests for the set-associative cache: orientation-aware tag match,
- * LRU replacement, pinning, crossing-bit storage, sharer masks, and
- * the synonym crossing geometry of Figure 8.
+ * LRU replacement, pinning, crossing-bit storage, sharer masks, a
+ * differential check against a naive reference cache (including the
+ * LRU-clock renumbering), and the synonym crossing geometry of
+ * Figure 8.
  */
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/synonym.hh"
@@ -15,6 +19,14 @@
 #include "util/random.hh"
 
 namespace rcnvm::cache {
+
+/** Test access to a cache's LRU clock, to reach its 32-bit wrap
+ *  without four billion operations. */
+struct CacheTestPeer {
+    static std::uint32_t clock(const Cache &c) { return c.lruClock_; }
+    static void setClock(Cache &c, std::uint32_t v) { c.lruClock_ = v; }
+};
+
 namespace {
 
 CacheConfig
@@ -252,6 +264,274 @@ TEST(CacheTest, MissedLookupsLeaveReplacementOrderAlone)
                                      MesiState::Shared);
     ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->key.addr, 0u);
+}
+
+TEST(CacheDeathTest, LinesBelowFourBytesAreFatal)
+{
+    // The key word keeps the orientation and live bits in the two low
+    // bits of the line address.
+    EXPECT_DEATH(Cache(CacheConfig{"tiny", 64, 2, 8}), "at least 4 bytes");
+}
+
+// ---------------------------------------------------------------
+// Differential check against a naive reference cache.
+// ---------------------------------------------------------------
+
+/** The behaviour Cache must have, written as plainly as possible:
+ *  each set is a list of its live lines with 64-bit stamps, and a
+ *  full set evicts its oldest unpinned line (else its oldest). */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig &config)
+        : config_(config), sets_(config.numSets())
+    {
+    }
+
+    /** Hit state and crossing bits, or nullopt on a miss. */
+    std::optional<std::pair<MesiState, std::uint8_t>>
+    find(const LineKey &key)
+    {
+        Line *line = lookup(key);
+        if (!line)
+            return std::nullopt;
+        line->stamp = ++clock_;
+        return std::make_pair(line->state, line->crossing);
+    }
+
+    void
+    setCrossing(const LineKey &key, std::uint8_t bits)
+    {
+        lookup(key)->crossing = bits;
+    }
+
+    std::optional<Cache::Victim>
+    insert(const LineKey &key, MesiState state)
+    {
+        if (Line *line = lookup(key)) {
+            line->state = state;
+            line->stamp = ++clock_;
+            return std::nullopt;
+        }
+        std::vector<Line> &set = setOf(key);
+        std::optional<Cache::Victim> victim;
+        if (set.size() == config_.ways) {
+            auto oldest = set.end();
+            for (auto it = set.begin(); it != set.end(); ++it) {
+                if (!it->pinned &&
+                    (oldest == set.end() || it->stamp < oldest->stamp))
+                    oldest = it;
+            }
+            if (oldest == set.end()) {
+                ++pinnedEvictions_;
+                oldest = set.begin();
+                for (auto it = set.begin(); it != set.end(); ++it) {
+                    if (it->stamp < oldest->stamp)
+                        oldest = it;
+                }
+            }
+            victim = Cache::Victim{oldest->key, oldest->state,
+                                   oldest->crossing, 0};
+            set.erase(oldest);
+        }
+        set.push_back(Line{key, state, 0, false, ++clock_});
+        return victim;
+    }
+
+    std::optional<Cache::Victim>
+    invalidate(const LineKey &key)
+    {
+        std::vector<Line> &set = setOf(key);
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->key == key) {
+                const Cache::Victim v{it->key, it->state, it->crossing,
+                                      0};
+                set.erase(it);
+                return v;
+            }
+        }
+        return std::nullopt;
+    }
+
+    bool
+    setPinned(const LineKey &key, bool pinned)
+    {
+        Line *line = lookup(key);
+        if (!line)
+            return false;
+        line->stamp = ++clock_;
+        line->pinned = pinned;
+        return true;
+    }
+
+    void
+    reset()
+    {
+        for (auto &set : sets_)
+            set.clear();
+        pinnedEvictions_ = 0;
+    }
+
+    std::uint64_t
+    lines(Orientation o) const
+    {
+        std::uint64_t n = 0;
+        for (const auto &set : sets_) {
+            for (const Line &line : set)
+                n += line.key.orient == o;
+        }
+        return n;
+    }
+
+    std::uint64_t pinnedEvictions() const { return pinnedEvictions_; }
+
+  private:
+    struct Line {
+        LineKey key;
+        MesiState state;
+        std::uint8_t crossing;
+        bool pinned;
+        std::uint64_t stamp;
+    };
+
+    std::vector<Line> &
+    setOf(const LineKey &key)
+    {
+        return sets_[(key.addr / config_.lineBytes) % sets_.size()];
+    }
+
+    Line *
+    lookup(const LineKey &key)
+    {
+        for (Line &line : setOf(key)) {
+            if (line.key == key)
+                return &line;
+        }
+        return nullptr;
+    }
+
+    CacheConfig config_;
+    std::vector<std::vector<Line>> sets_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t pinnedEvictions_ = 0;
+};
+
+void
+expectSameVictim(const std::optional<Cache::Victim> &got,
+                 const std::optional<Cache::Victim> &want,
+                 unsigned step)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+    if (!got)
+        return;
+    EXPECT_EQ(got->key, want->key) << "step " << step;
+    EXPECT_EQ(got->state, want->state) << "step " << step;
+    EXPECT_EQ(got->crossing, want->crossing) << "step " << step;
+}
+
+/**
+ * Drive @p cache and a ReferenceCache with the same seeded random
+ * finds, inserts, invalidates, pins, crossing updates and resets over
+ * a small pool of row and column lines, asserting identical hits,
+ * victims and per-orientation line counts after every step. When
+ * @p wrapEvery is non-zero, the cache's LRU clock is pushed to a few
+ * stamps below its 32-bit wrap every @p wrapEvery steps.
+ *
+ * @return evictions seen (the caller checks the run had some)
+ */
+unsigned
+runDifferential(Cache &cache, std::uint64_t seed, unsigned steps,
+                unsigned wrapEvery = 0)
+{
+    const CacheConfig &config = cache.config();
+    ReferenceCache ref(config);
+    util::Random rng(seed);
+    // Four lines per way and set, in both orientations: sets
+    // overflow constantly.
+    const std::uint64_t pool = std::uint64_t{config.numSets()} *
+                               config.ways * 4;
+    unsigned evictions = 0;
+    for (unsigned step = 0; step < steps; ++step) {
+        if (wrapEvery != 0 && step % wrapEvery == wrapEvery / 2) {
+            CacheTestPeer::setClock(
+                cache, ~std::uint32_t{0} -
+                           static_cast<std::uint32_t>(rng.nextBounded(8)));
+        }
+        const LineKey key{rng.nextBounded(pool) * config.lineBytes,
+                          rng.nextBool(0.5) ? Orientation::Row
+                                            : Orientation::Column};
+        const std::uint64_t op = rng.nextBounded(100);
+        if (op < 40) {
+            CacheLine *line = cache.find(key);
+            const auto want = ref.find(key);
+            EXPECT_EQ(line != nullptr, want.has_value())
+                << "step " << step;
+            if (line && want) {
+                EXPECT_EQ(line->state, want->first) << "step " << step;
+                EXPECT_EQ(line->crossing, want->second)
+                    << "step " << step;
+                if (rng.nextBool(0.3)) {
+                    const auto bits =
+                        static_cast<std::uint8_t>(rng.nextBounded(256));
+                    line->crossing = bits;
+                    ref.setCrossing(key, bits);
+                }
+            }
+        } else if (op < 75) {
+            const auto state =
+                static_cast<MesiState>(1 + rng.nextBounded(3));
+            const auto got = cache.insert(key, state);
+            const auto want = ref.insert(key, state);
+            expectSameVictim(got, want, step);
+            evictions += got.has_value();
+        } else if (op < 87) {
+            expectSameVictim(cache.invalidate(key), ref.invalidate(key),
+                             step);
+        } else if (op < 99) {
+            const bool pinned = rng.nextBool(0.7);
+            EXPECT_EQ(cache.setPinned(key, pinned),
+                      ref.setPinned(key, pinned))
+                << "step " << step;
+        } else if (rng.nextBool(0.2)) {
+            cache.reset();
+            ref.reset();
+        }
+        EXPECT_EQ(cache.rowLines(), ref.lines(Orientation::Row))
+            << "step " << step;
+        EXPECT_EQ(cache.columnLines(), ref.lines(Orientation::Column))
+            << "step " << step;
+        EXPECT_EQ(cache.pinnedEvictions(), ref.pinnedEvictions())
+            << "step " << step;
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    return evictions;
+}
+
+TEST(CacheDifferentialTest, MatchesANaiveReferenceCache)
+{
+    const CacheConfig configs[] = {
+        tinyConfig(),
+        CacheConfig{"two-way", 512, 64, 2},
+        CacheConfig{"sixteen-way", 8 * 1024, 64, 16},
+    };
+    for (const CacheConfig &config : configs) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(config.name + " seed " + std::to_string(seed));
+            Cache cache(config);
+            EXPECT_GT(runDifferential(cache, seed, 20000), 1000u);
+        }
+    }
+}
+
+TEST(CacheDifferentialTest, LruRenumberingKeepsTheEvictionOrder)
+{
+    // The clock is pushed to just below its wrap every 500 steps, so
+    // full sets with interleaved stamps are renumbered dozens of
+    // times; hits and victims must still match the 64-bit reference.
+    Cache cache(tinyConfig());
+    EXPECT_GT(runDifferential(cache, 7, 20000, 500), 1000u);
+    EXPECT_LT(CacheTestPeer::clock(cache), 1000u);
 }
 
 TEST(CacheConfigTest, SetCountArithmetic)

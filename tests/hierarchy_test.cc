@@ -268,15 +268,15 @@ directoryViolations(const Hierarchy &h)
 {
     unsigned bad = 0;
     for (unsigned core = 0; core < h.config().cores; ++core) {
-        const auto check = [&](const CacheLine &line) {
-            const CacheLine *home = h.l3().probe(line.key());
+        const auto check = [&](const LineKey &key, const CacheLine &) {
+            const CacheLine *home = h.l3().probe(key);
             if (!home) {
                 ADD_FAILURE() << "core " << core << " holds line "
-                              << line.tag << " absent from the L3";
+                              << key.addr << " absent from the L3";
                 ++bad;
             } else if (!((h.l3().sharers(*home) >> core) & 1u)) {
                 ADD_FAILURE() << "core " << core << " holds line "
-                              << line.tag << " without its sharer bit";
+                              << key.addr << " without its sharer bit";
                 ++bad;
             }
         };

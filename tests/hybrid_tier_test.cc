@@ -4,7 +4,8 @@
  * involution, the shadow-row-buffer locality tracker, migration
  * routing and policies on a directly-driven HybridMemory, and
  * whole-machine determinism of hybrid runs (same seed byte-identical
- * JSON, streamed and fixed-plan runs equivalent).
+ * JSON, streamed and fixed-plan runs equivalent, a reset machine
+ * equal to a fresh one).
  */
 
 #include <gtest/gtest.h>
@@ -373,18 +374,24 @@ hotRowPlans(const cpu::Machine &machine, unsigned ops_per_core)
     return plans;
 }
 
+/** Stats JSON of @p plans run on @p machine. */
 std::string
-hybridRunJson(double *promotions = nullptr)
+runJson(cpu::Machine &machine, const std::vector<cpu::AccessPlan> &plans,
+        double *promotions = nullptr)
 {
-    cpu::Machine machine(hybridConfig());
-    const std::vector<cpu::AccessPlan> plans =
-        hotRowPlans(machine, 400);
     const cpu::RunResult r = machine.run(plans);
     if (promotions != nullptr)
         *promotions = r.stats.get("tier.promotions");
     std::ostringstream os;
     util::writeStatsJson(os, r.stats, "hybrid", r.ticks);
     return os.str();
+}
+
+std::string
+hybridRunJson(double *promotions = nullptr)
+{
+    cpu::Machine machine(hybridConfig());
+    return runJson(machine, hotRowPlans(machine, 400), promotions);
 }
 
 // The next two test names date from the removed channel-sharded
@@ -425,6 +432,31 @@ TEST(HybridDeterminism, ShardedHybridRunIsRepeatStable)
     EXPECT_EQ(first, hybridRunJson());
     // The determinism must be exercised by real tier activity.
     EXPECT_GT(promotions, 0.0);
+}
+
+/** A machine reused through reset() must report exactly what a
+ *  freshly built one does, whatever ran on it before. */
+void
+expectResetMatchesFresh(const cpu::MachineConfig &config)
+{
+    cpu::Machine fresh(config);
+    const std::vector<cpu::AccessPlan> plans = hotRowPlans(fresh, 400);
+    const std::string expected = runJson(fresh, plans);
+
+    cpu::Machine reused(config);
+    runJson(reused, hotRowPlans(reused, 250));
+    reused.reset();
+    EXPECT_EQ(runJson(reused, plans), expected);
+}
+
+TEST(MachineReset, ReusedTable1MachineMatchesAFreshOne)
+{
+    expectResetMatchesFresh(cpu::MachineConfig{});
+}
+
+TEST(MachineReset, ReusedHybridMachineMatchesAFreshOne)
+{
+    expectResetMatchesFresh(hybridConfig());
 }
 
 TEST(HybridDeterminism, SameSeedHybridServiceRunsAreByteIdentical)

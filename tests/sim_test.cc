@@ -104,6 +104,28 @@ TEST(EventQueueDeathTest, PanicsOnPastEvent)
     EXPECT_DEATH(eq.run(), "scheduled in the past");
 }
 
+TEST(EventQueue, ResetRewindsADrainedQueue)
+{
+    EventQueue eq;
+    eq.schedule(Tick{10}, [] {});
+    eq.run();
+    eq.reset();
+    EXPECT_EQ(eq.now(), Tick{0});
+    EXPECT_EQ(eq.executed(), 0u);
+    // Time starts over: tick 5 is no longer in the past.
+    bool ran = false;
+    eq.schedule(Tick{5}, [&ran] { ran = true; });
+    eq.run();
+    EXPECT_TRUE(ran);
+}
+
+TEST(EventQueueDeathTest, ResetWithPendingEventsPanics)
+{
+    EventQueue eq;
+    eq.schedule(Tick{10}, [] {});
+    EXPECT_DEATH(eq.reset(), "events pending");
+}
+
 TEST(ClockDomain, CycleTickConversions)
 {
     ClockDomain<MemClk> clk(Tick{2500});
