@@ -11,6 +11,7 @@
 #ifndef RCNVM_BENCH_BENCH_COMMON_HH_
 #define RCNVM_BENCH_BENCH_COMMON_HH_
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "core/experiment.hh"
 #include "core/presets.hh"
+#include "olxp/serve/serve_scheduler.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/table_printer.hh"
@@ -143,6 +145,82 @@ runSqlSuite(std::uint64_t tuples)
         rows.push_back(std::move(row));
     }
     return rows;
+}
+
+/**
+ * The OLXP service shape of ext_olxp_service and ext_hybrid_tier as a
+ * serve-scheduler configuration. tenants[0] is the open-loop OLTP
+ * tenant (callers set its oltpInterArrival per load point);
+ * tenants[1], present when @p scans_in_flight > 0, is one shared
+ * cursor keeping that many range scans of @p scan_tuples tuples over
+ * the first @p scan_fields fields (0 = all) in flight. Pruning and
+ * the SLO loop are off, so scans may take every core, but OLTP
+ * requests still dispatch first.
+ */
+inline olxp::serve::ServeConfig
+olxpServiceShape(unsigned scans_in_flight, std::uint64_t scan_tuples,
+                 unsigned scan_fields, Tick horizon)
+{
+    olxp::serve::ServeConfig cfg;
+    cfg.optimizer = false;
+    cfg.slo = false;
+    cfg.scanFields = scan_fields;
+    cfg.horizon = horizon;
+    cfg.runQueueCapacity = 64;
+
+    olxp::serve::TenantConfig oltp;
+    oltp.name = "oltp";
+    oltp.cls = olxp::serve::TenantClass::OltpLatency;
+    cfg.tenants.push_back(oltp);
+    if (scans_in_flight > 0) {
+        olxp::serve::TenantConfig olap;
+        olap.name = "olap";
+        olap.cls = olxp::serve::TenantClass::OlapThroughput;
+        olap.streams = 1;
+        olap.segmentParallelism = scans_in_flight;
+        olap.segmentTuples = scan_tuples;
+        cfg.tenants.push_back(olap);
+    }
+    return cfg;
+}
+
+/** One load point of a service sweep: the mean OLTP inter-arrival
+ *  gap and the serve run at that load. */
+struct ServicePoint {
+    Tick interArrival{0};
+    olxp::serve::ServeResult result;
+
+    /** Offered load in requests per microsecond (1 us = 1e6 ticks). */
+    double
+    offered() const
+    {
+        return 1.0e6 / static_cast<double>(interArrival.value());
+    }
+
+    /** OLTP latency percentile @p pct (50/95/99) in ticks: the
+     *  registered serve.oltpLatencyP<pct> log2-histogram formula,
+     *  which knees and verdicts compare. */
+    double
+    oltpP(int pct) const
+    {
+        return result.run.stats.get("serve.oltpLatencyP" +
+                                    std::to_string(pct));
+    }
+};
+
+/** Saturation knee of @p sweep (lightest load first): the highest
+ *  offered load whose OLTP p99 stays under twice the lightest load's
+ *  p99 with no admission rejects; 0 when none does. */
+inline double
+serviceKnee(const std::vector<ServicePoint> &sweep)
+{
+    const double base = sweep.front().oltpP(99);
+    double knee = 0;
+    for (const ServicePoint &p : sweep) {
+        if (p.oltpP(99) < 2.0 * base && p.result.oltpRejected == 0)
+            knee = std::max(knee, p.offered());
+    }
+    return knee;
 }
 
 /** Shorthand for TablePrinter::num. */

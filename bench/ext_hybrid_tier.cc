@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "olxp/service.hh"
 
 using namespace rcnvm;
 
@@ -40,16 +39,6 @@ struct Placement {
     std::string label;
     cpu::MachineConfig config;
     bool hybrid = false;
-};
-
-struct SweepPoint {
-    Tick interArrival{0};
-    olxp::ServiceResult result;
-
-    double offered() const
-    {
-        return 1.0e6 / static_cast<double>(interArrival.value());
-    }
 };
 
 std::string
@@ -97,15 +86,12 @@ main(int argc, char **argv)
         bench::benchTuples(smoke ? 32768 : 65536);
     const std::uint64_t seed = util::envSeed(42);
 
-    olxp::ServiceConfig service;
-    service.oltpUpdateFraction = 0.2;
-    service.oltpHotTupleFraction = 0.125;
-    service.oltpHotProbability = 0.8;
-    service.olapStreams = 3;
-    service.olapTuplesPerScan = 512;
-    service.olapFields = 1;
-    service.horizon = smoke ? Tick{12000000} : Tick{30000000};
-    service.runQueueCapacity = 64;
+    olxp::serve::ServeConfig service = bench::olxpServiceShape(
+        3, 512, 1, smoke ? Tick{12000000} : Tick{30000000});
+    olxp::serve::TenantConfig &oltp = service.tenants[0];
+    oltp.oltpUpdateFraction = 0.2;
+    oltp.oltpHotTupleFraction = 0.125;
+    oltp.oltpHotProbability = 0.8;
 
     const std::vector<Tick> loads =
         smoke ? std::vector<Tick>{Tick{100000}, Tick{25000}}
@@ -136,13 +122,13 @@ main(int argc, char **argv)
     util::TablePrinter t(
         "Extension: hybrid memory tier, OLXP service sweep (latency "
         "in us; offered load in OLTP req/us; hot set " +
-        bench::num(100.0 * service.oltpHotTupleFraction, 1) +
+        bench::num(100.0 * oltp.oltpHotTupleFraction, 1) +
         "% of table, P(hot) = " +
-        bench::num(service.oltpHotProbability, 2) + ")");
+        bench::num(oltp.oltpHotProbability, 2) + ")");
     t.addRow({"placement", "offered", "oltp done", "rej", "p50",
               "p99", "olap done", "promo", "demo", "nearHit%"});
 
-    std::vector<std::vector<SweepPoint>> sweeps;
+    std::vector<std::vector<bench::ServicePoint>> sweeps;
     for (const Placement &p : placements) {
         const mem::DeviceKind kind = p.config.device;
         mem::AddressMap map(p.config.geometry
@@ -154,15 +140,15 @@ main(int argc, char **argv)
         const workload::QueryWorkload workload(tables);
         const workload::PlacedDatabase pd = workload.place(kind, map);
 
-        std::vector<SweepPoint> sweep;
+        std::vector<bench::ServicePoint> sweep;
         for (const Tick ia : loads) {
             cpu::Machine machine(p.config);
 
-            olxp::ServiceConfig cfg = service;
-            cfg.oltpInterArrival = ia;
-            olxp::QueryScheduler scheduler(machine, pd, cfg);
+            olxp::serve::ServeConfig cfg = service;
+            cfg.tenants[0].oltpInterArrival = ia;
+            olxp::serve::ServeScheduler scheduler(machine, pd, cfg);
 
-            SweepPoint point;
+            bench::ServicePoint point;
             point.interArrival = ia;
             point.result = scheduler.run();
             if (artifacts.enabled()) {
@@ -172,7 +158,7 @@ main(int argc, char **argv)
                                  point.result.run.ticks);
             }
 
-            const olxp::ServiceResult &r = point.result;
+            const olxp::serve::ServeResult &r = point.result;
             const util::StatsMap &s = r.run.stats;
             const double promos = s.get("tier.promotions");
             const double demos = s.get("tier.demotions");
@@ -180,8 +166,9 @@ main(int argc, char **argv)
             t.addRow({p.label, bench::num(point.offered(), 2),
                       std::to_string(r.oltpCompleted),
                       std::to_string(r.oltpRejected),
-                      usLabel(r.oltpP50), usLabel(r.oltpP99),
-                      std::to_string(r.olapCompleted),
+                      usLabel(point.oltpP(50)),
+                      usLabel(point.oltpP(99)),
+                      std::to_string(r.segmentsCompleted),
                       p.hybrid ? bench::num(promos, 0) : "-",
                       p.hybrid ? bench::num(demos, 0) : "-",
                       p.hybrid ? bench::num(100.0 * hitRate, 1)
@@ -192,24 +179,13 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    // Knee: highest offered load whose p99 stays under 2x the
-    // placement's own lightest-load baseline with no rejects.
     std::cout << "\nsaturation knees (p99 < 2x own baseline, no "
                  "rejects):\n";
-    std::vector<double> knees;
     for (std::size_t d = 0; d < sweeps.size(); ++d) {
-        const std::vector<SweepPoint> &sweep = sweeps[d];
-        const double base = sweep.front().result.oltpP99;
-        double knee = 0;
-        for (const SweepPoint &p : sweep) {
-            if (p.result.oltpP99 < 2.0 * base &&
-                p.result.oltpRejected == 0)
-                knee = std::max(knee, p.offered());
-        }
-        knees.push_back(knee);
         std::cout << "  " << placements[d].label << ": "
-                  << bench::num(knee, 2) << " req/us (baseline p99 "
-                  << usLabel(base) << " us)\n";
+                  << bench::num(bench::serviceKnee(sweeps[d]), 2)
+                  << " req/us (baseline p99 "
+                  << usLabel(sweeps[d].front().oltpP(99)) << " us)\n";
     }
 
     // Verdict: does any migration policy beat BOTH static
@@ -219,32 +195,31 @@ main(int argc, char **argv)
     // on raw p99; rank lexicographically by (p99, rejects,
     // -completions) — at equal tail latency, fewer admission drops
     // and more completed requests is strictly better service.
-    const auto score = [](const olxp::ServiceResult &r) {
+    const auto score = [](const bench::ServicePoint &p) {
         return std::make_tuple(
-            r.oltpP99, r.oltpRejected,
-            -static_cast<std::int64_t>(r.oltpCompleted));
+            p.oltpP(99), p.result.oltpRejected,
+            -static_cast<std::int64_t>(p.result.oltpCompleted));
     };
-    const olxp::ServiceResult &dram_h = sweeps[0].back().result;
-    const olxp::ServiceResult &rc_h = sweeps[1].back().result;
+    const bench::ServicePoint &dram_h = sweeps[0].back();
+    const bench::ServicePoint &rc_h = sweeps[1].back();
     int best = -1;
     for (std::size_t d = 2; d < sweeps.size(); ++d) {
-        const olxp::ServiceResult &h = sweeps[d].back().result;
+        const bench::ServicePoint &h = sweeps[d].back();
         if (score(h) < score(dram_h) && score(h) < score(rc_h) &&
-            (best < 0 ||
-             score(h) < score(sweeps[best].back().result)))
+            (best < 0 || score(h) < score(sweeps[best].back())))
             best = static_cast<int>(d);
     }
     std::cout << "\nheadline: at the heaviest load, pure DRAM p99 = "
-              << usLabel(dram_h.oltpP99) << " us ("
-              << dram_h.oltpRejected << " rejects), pure RC-NVM "
-              << "p99 = " << usLabel(rc_h.oltpP99) << " us ("
-              << rc_h.oltpRejected << " rejects)";
+              << usLabel(dram_h.oltpP(99)) << " us ("
+              << dram_h.result.oltpRejected << " rejects), pure RC-NVM "
+              << "p99 = " << usLabel(rc_h.oltpP(99)) << " us ("
+              << rc_h.result.oltpRejected << " rejects)";
     if (best >= 0) {
-        const olxp::ServiceResult &h = sweeps[best].back().result;
+        const bench::ServicePoint &h = sweeps[best].back();
         std::cout << "; " << placements[best].label
-                  << " beats both at p99 = " << usLabel(h.oltpP99)
-                  << " us (" << h.oltpRejected << " rejects, "
-                  << h.oltpCompleted << " completed).\n";
+                  << " beats both at p99 = " << usLabel(h.oltpP(99))
+                  << " us (" << h.result.oltpRejected << " rejects, "
+                  << h.result.oltpCompleted << " completed).\n";
     } else {
         std::cout << "; no hybrid policy beat both statics.\n";
         std::cout << "WARNING: expected >= 1 migration policy to "

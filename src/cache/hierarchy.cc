@@ -256,7 +256,7 @@ Hierarchy::fillL3(const LineKey &key, MesiState state, CpuCycles &extra)
 {
     CacheLine *line = nullptr;
     auto victim = l3_->insert(key, state, &line);
-    if (victim && victim->state != MesiState::Invalid) {
+    if (victim) {
         // Inclusion: remove private copies of the evicted line.
         bool dirty = victim->state == MesiState::Modified;
         backInvalidate(victim->key, victim->sharers, dirty);
@@ -274,17 +274,15 @@ Hierarchy::fillPrivate(unsigned core, const LineKey &key,
 {
     l3_->sharers(l3line) |= coreBit(core);
     if (auto v2 = l2_[core]->insert(key, state)) {
-        if (v2->state != MesiState::Invalid) {
-            // L2 inclusion over L1.
-            if (auto v1 = l1_[core]->invalidate(v2->key)) {
-                if (v1->state == MesiState::Modified)
-                    v2->state = MesiState::Modified;
-            }
-            if (v2->state == MesiState::Modified) {
-                // Fold the dirty data back into the shared L3.
-                if (CacheLine *held = l3_->find(v2->key))
-                    held->state = MesiState::Modified;
-            }
+        // L2 inclusion over L1.
+        if (auto v1 = l1_[core]->invalidate(v2->key)) {
+            if (v1->state == MesiState::Modified)
+                v2->state = MesiState::Modified;
+        }
+        if (v2->state == MesiState::Modified) {
+            // Fold the dirty data back into the shared L3.
+            if (CacheLine *held = l3_->find(v2->key))
+                held->state = MesiState::Modified;
         }
     }
     if (auto v1 = l1_[core]->insert(key, state)) {

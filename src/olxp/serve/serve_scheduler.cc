@@ -62,7 +62,9 @@ ServeScheduler::ServeScheduler(cpu::Machine &machine,
         if (tc.cls == TenantClass::OltpLatency) {
             ts.oltp.emplace(pd_, tc.oltpInterArrival,
                             tc.oltpUpdateFraction,
-                            baseSeed_ + 0x100 + i);
+                            baseSeed_ + 0x100 + i,
+                            tc.oltpHotTupleFraction,
+                            tc.oltpHotProbability);
         } else {
             ts.group = static_cast<int>(groups_.size());
             groups_.emplace_back(static_cast<unsigned>(i),
@@ -157,6 +159,7 @@ ServeScheduler::run()
     result.oltpP50 = exactPercentile(oltpSamples_, 0.50);
     result.oltpP95 = exactPercentile(oltpSamples_, 0.95);
     result.oltpP99 = exactPercentile(oltpSamples_, 0.99);
+    result.backfillP99 = exactPercentile(segmentSamples_, 0.99);
     result.scanChecksum = scanChecksum_;
     return result;
 }
@@ -199,8 +202,10 @@ ServeScheduler::nextSegment(ScanGroup &g)
 {
     const TenantConfig &tc = tenants_[g.tenant].cfg;
     const imdb::Table &t = pd_.db->table(pd_.a);
-    const unsigned pool = std::max(
-        1u, std::min(cfg_.scanFields, t.schema().tupleWords()));
+    const unsigned words = t.schema().tupleWords();
+    const unsigned pool =
+        cfg_.scanFields == 0 ? words
+                             : std::min(cfg_.scanFields, words);
     const std::uint64_t band = std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(
                cfg_.predBand,
@@ -373,9 +378,9 @@ ServeScheduler::onComplete(unsigned core, Tick finish)
     ts.completed.inc();
     const bool backfill = req.backfill;
     const int gi = req.group;
+    const Tick latency =
+        finish > req.arrival ? finish - req.arrival : Tick{0};
     if (!backfill) {
-        const Tick latency =
-            finish > req.arrival ? finish - req.arrival : Tick{0};
         oltpLatency_.sample(latency.value());
         if (req.arrival >= cfg_.measureFrom)
             oltpSamples_.push_back(latency.value());
@@ -383,6 +388,7 @@ ServeScheduler::onComplete(unsigned core, Tick finish)
         oltpCompleted_.inc();
     } else {
         segmentsCompleted_.inc();
+        segmentSamples_.push_back(latency.value());
         ScanGroup &g = groups_[static_cast<unsigned>(gi)];
         // The shared cursor credits every attached stream: N streams
         // consumed this segment for one segment of memory traffic.

@@ -2,9 +2,10 @@
  * @file
  * The multi-tenant serving scheduler (DESIGN.md 4i).
  *
- * Builds on the OLXP service layer's machine primitives (arrival
- * events + startOnCore + serve) and adds the three serving-layer
- * mechanisms of the ROADMAP's production-scale item:
+ * Serves open-loop OLTP arrivals against closed-loop scan
+ * backgrounds on one machine's cores, through the machine's serving
+ * primitives (arrival events + startOnCore + serve), with three
+ * serving-layer mechanisms:
  *
  *  - Plan optimization: backfill scans are described declaratively
  *    (ScanQuery) and compiled through the PlanOptimizer, which
@@ -28,6 +29,12 @@
  * Open-loop (OLTP) arrivals beyond budget or bound are rejected and
  * counted; closed-loop segments are parked and deterministically
  * retried — deferred, never dropped.
+ *
+ * With both mechanisms off (optimizer = false, slo = false), one
+ * OltpLatency tenant and one single-stream OlapThroughput tenant it
+ * is the plain OLXP service of ext_olxp_service and ext_hybrid_tier:
+ * Poisson point requests against segmentParallelism range scans of
+ * scanFields fields that may fill every core.
  *
  * Everything runs on the machine's event queue, so all serve.*
  * statistics are a deterministic function of the configuration and
@@ -72,8 +79,8 @@ struct ServeConfig {
     unsigned backfillFloor = 1;
 
     /** Field pool of the shared scans: a segment's template touches
-     *  fields [0, scanFields) and the optimizer prunes down to the
-     *  two the aggregate consumes. */
+     *  fields [0, scanFields) (0 = every field) and the optimizer
+     *  prunes down to the two the aggregate consumes. */
     unsigned scanFields = 4;
     /** Predicate band in value units: thresholds are drawn within
      *  this distance of the value-domain edge, making segments
@@ -121,6 +128,9 @@ struct ServeResult {
      *  ratios like "within 1.25x of baseline" need sample
      *  resolution). */
     double oltpP50 = 0, oltpP95 = 0, oltpP99 = 0;
+    /** Exact p99 of shared-scan segment latency (generation to
+     *  completion, ticks). */
+    double backfillP99 = 0;
 
     /** Host-side result merged over every completed segment: the
      *  pruned-vs-unpruned identity oracle. */
@@ -286,6 +296,8 @@ class ServeScheduler
 
     /** Every OLTP latency sample (ticks): exact percentiles. */
     std::vector<std::uint64_t> oltpSamples_;
+    /** Every segment latency sample (ticks): exact backfill p99. */
+    std::vector<std::uint64_t> segmentSamples_;
     /** Samples since the last SLO window edge. */
     std::vector<std::uint64_t> windowSamples_;
 

@@ -15,10 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
 #include "cpu/machine.hh"
 #include "cpu/op_source.hh"
 #include "mem/hybrid_tier.hh"
-#include "olxp/service.hh"
 #include "util/stats_io.hh"
 #include "workload/tables.hh"
 
@@ -459,16 +459,36 @@ TEST(MachineReset, ReusedHybridMachineMatchesAFreshOne)
     expectResetMatchesFresh(hybridConfig());
 }
 
+/** The hot-set OLTP service of ext_hybrid_tier at test scale: OLTP
+ *  traffic skewed toward a hot set against one scan in flight. */
+olxp::serve::ServeConfig
+hotSetService()
+{
+    olxp::serve::ServeConfig cfg =
+        bench::olxpServiceShape(1, 256, 2, Tick{2000000});
+    olxp::serve::TenantConfig &oltp = cfg.tenants[0];
+    oltp.oltpInterArrival = Tick{20000};
+    oltp.oltpHotTupleFraction = 0.125;
+    oltp.oltpHotProbability = 0.8;
+    return cfg;
+}
+
+/** The placed 4096-tuple database the service tests run on. */
+const workload::PlacedDatabase &
+servicePd()
+{
+    static const workload::TableSet tables =
+        workload::TableSet::standard(4096, 256, 99);
+    static const workload::QueryWorkload workload(tables);
+    static const AddressMap map(geometryFor(DeviceKind::RcNvm));
+    static const workload::PlacedDatabase pd =
+        workload.place(DeviceKind::RcNvm, map);
+    return pd;
+}
+
 TEST(HybridDeterminism, SameSeedHybridServiceRunsAreByteIdentical)
 {
-    const workload::TableSet tables =
-        workload::TableSet::standard(4096, 256, 99);
-    const workload::QueryWorkload workload(tables);
-    const AddressMap map(geometryFor(DeviceKind::RcNvm));
-    const workload::PlacedDatabase pd =
-        workload.place(DeviceKind::RcNvm, map);
-
-    const auto runOnce = [&pd] {
+    const auto runOnce = [](double *promotions) {
         cpu::MachineConfig config;
         config.device = DeviceKind::RcNvm;
         config.seed = 99;
@@ -477,33 +497,26 @@ TEST(HybridDeterminism, SameSeedHybridServiceRunsAreByteIdentical)
         config.tier.hotThreshold = 2.0;
         cpu::Machine machine(config);
 
-        olxp::ServiceConfig cfg;
-        cfg.oltpInterArrival = Tick{20000};
-        cfg.oltpHotTupleFraction = 0.125;
-        cfg.oltpHotProbability = 0.8;
-        cfg.olapStreams = 1;
-        cfg.olapTuplesPerScan = 256;
-        cfg.horizon = Tick{2000000};
-        olxp::QueryScheduler sched(machine, pd, cfg);
-        const olxp::ServiceResult r = sched.run();
+        olxp::serve::ServeScheduler sched(machine, servicePd(),
+                                          hotSetService());
+        const olxp::serve::ServeResult r = sched.run();
+        *promotions = r.run.stats.get("tier.promotions");
         std::ostringstream os;
         util::writeStatsJson(os, r.run.stats, "svc", r.run.ticks);
         return os.str();
     };
-    EXPECT_EQ(runOnce(), runOnce());
+    double promotions = 0;
+    double repeat = 0;
+    EXPECT_EQ(runOnce(&promotions), runOnce(&repeat));
+    // The determinism must be exercised by real tier activity.
+    EXPECT_GT(promotions, 0.0);
 }
 
 // --- OLTP hot-set knob -------------------------------------------
 
 TEST(HotSetKnob, SkewShrinksTheTupleFootprint)
 {
-    const workload::TableSet tables =
-        workload::TableSet::standard(4096, 256, 99);
-    const workload::QueryWorkload workload(tables);
-    const AddressMap map(geometryFor(DeviceKind::RcNvm));
-    const workload::PlacedDatabase pd =
-        workload.place(DeviceKind::RcNvm, map);
-
+    const workload::PlacedDatabase &pd = servicePd();
     const auto footprint = [&pd](double hot_frac, double hot_prob) {
         olxp::OltpGenerator gen(pd, Tick{1000}, 0.0, 7, hot_frac,
                                 hot_prob);
@@ -520,6 +533,28 @@ TEST(HotSetKnob, SkewShrinksTheTupleFootprint)
     // versus hundreds under the uniform draw.
     EXPECT_LE(skewed, 64u);
     EXPECT_GT(uniform, 4u * skewed);
+}
+
+TEST(HotSetKnob, TenantHotSetReachesTheGenerator)
+{
+    // An OLTP tenant whose every lookup hits one hot tuple misses
+    // in the caches once per line; the uniform tenant misses on
+    // nearly every request.
+    const auto memRequests = [](double hot_prob) {
+        cpu::MachineConfig config;
+        config.seed = 99;
+        cpu::Machine machine(config);
+        olxp::serve::ServeConfig cfg = hotSetService();
+        cfg.tenants.pop_back(); // OLTP only
+        cfg.tenants[0].oltpHotTupleFraction = 1.0 / 4096.0;
+        cfg.tenants[0].oltpHotProbability = hot_prob;
+        olxp::serve::ServeScheduler sched(machine, servicePd(), cfg);
+        return sched.run().run.stats.get("mem.requests");
+    };
+    const double uniform = memRequests(0.0);
+    const double hot = memRequests(1.0);
+    EXPECT_GT(uniform, 0.0);
+    EXPECT_LT(4.0 * hot, uniform);
 }
 
 } // namespace
