@@ -78,11 +78,14 @@ main(int argc, char **argv)
             }
             const double reduction =
                 100.0 * (1.0 - mcyc[0] / mcyc[2]);
+            // Appended, not `"literal" + std::string&&`: GCC 12 flags
+            // that form with a false-positive -Wrestrict.
+            std::string change = reduction >= 0 ? "-" : "+";
+            change += bench::num(std::abs(reduction), 1);
+            change += '%';
             t.addRow({std::string(toString(mb)) + suffix,
                       bench::num(mcyc[0]), bench::num(mcyc[1]),
-                      bench::num(mcyc[2]),
-                      (reduction >= 0 ? "-" : "+") +
-                          bench::num(std::abs(reduction), 1) + "%"});
+                      bench::num(mcyc[2]), change});
         }
     }
     t.print(std::cout);

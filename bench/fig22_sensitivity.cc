@@ -68,9 +68,14 @@ main()
             wl, mem::DeviceKind::Rram,
             core::table1MachineWithCell(mem::DeviceKind::Rram, p[0],
                                         p[1]));
-        t.addRow({"(" + bench::num(p[0], 1) + " ns, " +
-                      bench::num(p[1], 1) + " ns)",
-                  bench::num(rc), bench::num(rram),
+        // Appended, not `"literal" + std::string&&`: GCC 12 flags
+        // that form with a false-positive -Wrestrict.
+        std::string cell = "(";
+        cell += bench::num(p[0], 1);
+        cell += " ns, ";
+        cell += bench::num(p[1], 1);
+        cell += " ns)";
+        t.addRow({cell, bench::num(rc), bench::num(rram),
                   bench::num(dram_mean)});
     }
     t.print(std::cout);

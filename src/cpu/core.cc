@@ -54,21 +54,49 @@ Core::reset()
 }
 
 void
+Core::onAdvanceEvent()
+{
+    advanceScheduled_ = false;
+    advance();
+}
+
+void
 Core::scheduleAdvance(Tick when)
 {
     if (advanceScheduled_)
         return;
     advanceScheduled_ = true;
-    eq_.schedule(when, [this] {
-        advanceScheduled_ = false;
-        advance();
-    });
+    eq_.schedule(when, [this] { onAdvanceEvent(); });
+}
+
+void
+Core::unpark()
+{
+    parked_ = false;
+    const Tick now = eq_.now();
+    if (now > readyTick_ ||
+        (now == readyTick_ && eq_.currentSeq() > parkSeq_)) {
+        // The skipped event would already have run: apply its only
+        // effect, marking the stall from readyTick_.
+        if (!stalledFull_) {
+            stalledFull_ = true;
+            stallStart_ = readyTick_;
+        }
+    } else {
+        // It would still be pending: schedule it at exactly the
+        // position it would have had.
+        advanceScheduled_ = true;
+        eq_.scheduleReserved(readyTick_, parkSeq_,
+                             [this] { onAdvanceEvent(); });
+    }
 }
 
 void
 Core::onAccessDone()
 {
     --outstanding_;
+    if (parked_)
+        unpark();
     if (stalledFull_) {
         stalledFull_ = false;
         stallTicks_.inc((eq_.now() - stallStart_).value());
@@ -93,10 +121,26 @@ Core::advance()
 {
     if (finished_)
         return;
+    // Entered from a retry notification while parked: place the
+    // skipped event relative to this one before acting.
+    if (parked_)
+        unpark();
 
     while (const MemOp *head = source_->peek()) {
         const Tick now = eq_.now();
         if (now < readyTick_) {
+            if (head->isMemory() && outstanding_ >= window_ &&
+                !advanceScheduled_) {
+                // Park: an advance event at readyTick_ would find the
+                // window still full and only record the stall, and
+                // the window cannot drain without onAccessDone. Every
+                // later entry replays or schedules that event at its
+                // exact position (unpark). The outstanding accesses
+                // keep events pending meanwhile.
+                parked_ = true;
+                parkSeq_ = eq_.reserveSeq();
+                return;
+            }
             scheduleAdvance(readyTick_);
             return;
         }

@@ -82,6 +82,12 @@ class Core
     /** Number of memory operations issued. */
     std::uint64_t memOps() const { return memOps_.value(); }
 
+    /** True while the core is parked: a memory op waits for a
+     *  window slot, and the advance event that would only have
+     *  marked the stall is replaced by a reserved queue position
+     *  (see advance()). */
+    bool parked() const { return parked_; }
+
     /** Cycles spent stalled with a full window. */
     std::uint64_t stallTicks() const { return stallTicks_.value(); }
 
@@ -100,7 +106,9 @@ class Core
 
   private:
     void advance();
+    void onAdvanceEvent();
     void scheduleAdvance(Tick when);
+    void unpark();
     void onAccessDone();
     void onRetry();
 
@@ -118,6 +126,10 @@ class Core
     unsigned outstanding_ = 0;
     Tick readyTick_{0};
     bool advanceScheduled_ = false;
+    bool parked_ = false;
+    /** Queue position the skipped advance event at readyTick_ would
+     *  have had (valid while parked_). */
+    sim::EventQueue::Seq parkSeq_ = 0;
     bool stalledFull_ = false;
     bool stalledRetry_ = false;
     bool fencePending_ = false;

@@ -47,29 +47,67 @@ ChannelController::bufferIndex(const DecodedAddr &d, Orientation o)
     return o == Orientation::Row ? d.row : d.col;
 }
 
+ChannelController::Pending &
+ChannelController::BankQueue::pushBack()
+{
+    if (count == ring.size()) {
+        // Grow by doubling, unwrapping the entries to the front.
+        std::vector<Pending> grown(ring.empty() ? 8 : 2 * ring.size());
+        for (std::size_t i = 0; i < count; ++i)
+            grown[i] = std::move((*this)[i]);
+        ring = std::move(grown);
+        head = 0;
+    }
+    return (*this)[count++];
+}
+
 void
-ChannelController::enqueue(MemRequest &&req)
+ChannelController::BankQueue::erase(std::size_t pos)
+{
+    if (pos < count / 2) {
+        for (std::size_t i = pos; i > 0; --i)
+            (*this)[i] = std::move((*this)[i - 1]);
+        head = (head + 1) & (ring.size() - 1);
+    } else {
+        for (std::size_t i = pos + 1; i < count; ++i)
+            (*this)[i - 1] = std::move((*this)[i]);
+    }
+    --count;
+}
+
+void
+ChannelController::BankQueue::clear()
+{
+    for (std::size_t i = 0; i < count; ++i)
+        (*this)[i] = Pending{};
+    head = 0;
+    count = 0;
+}
+
+void
+ChannelController::enqueue(MemRequest &&req, const DecodedAddr &dec)
 {
     // The capacity is a soft cap: demand traffic respects
     // canAccept(), while write-backs may transiently overshoot so
     // evictions never deadlock the hierarchy.
-    const DecodedAddr dec = map_.decode(req.addr, req.orient);
     const unsigned b = bankIndex(dec);
     BankQueue &bq = bankQueues_[b];
 
     // Built in place: the request's completion continuation is bulky
-    // enough that every avoided move shows up in profiles.
-    Pending &p = bq.fifo.emplace_back();
+    // enough that every avoided move shows up in profiles. The slot
+    // is reused, so every field is written, bypassed included.
+    Pending &p = bq.pushBack();
     p.dec = dec;
     p.req = std::move(req);
     p.enqueueTick = eq_.now();
     p.seq = nextSeq_++;
     p.bufferIdx = bufferIndex(p.dec, p.req.orient);
+    p.bypassed = 0;
 
     if (bq.hitPos < 0 &&
         banks_[b].hits(p.req.orient, p.dec.subarray, p.bufferIdx))
-        bq.hitPos = static_cast<std::ptrdiff_t>(bq.fifo.size()) - 1;
-    stats_.bankQueueDepth.sample(static_cast<double>(bq.fifo.size()));
+        bq.hitPos = static_cast<std::ptrdiff_t>(bq.size()) - 1;
+    stats_.bankQueueDepth.sample(static_cast<double>(bq.size()));
     if (!bq.active) {
         bq.active = true;
         activeBanks_.push_back(b);
@@ -109,8 +147,8 @@ void
 ChannelController::refreshHitPos(BankQueue &bq, const Bank &bank) const
 {
     bq.hitPos = -1;
-    for (std::size_t i = 0; i < bq.fifo.size(); ++i) {
-        const Pending &p = bq.fifo[i];
+    for (std::size_t i = 0; i < bq.size(); ++i) {
+        const Pending &p = bq[i];
         if (bank.hits(p.req.orient, p.dec.subarray, p.bufferIdx)) {
             bq.hitPos = static_cast<std::ptrdiff_t>(i);
             return;
@@ -122,12 +160,9 @@ void
 ChannelController::issueFrom(unsigned b, std::size_t pos)
 {
     BankQueue &bq = bankQueues_[b];
-    Pending p = std::move(bq.fifo[pos]);
-    if (pos == 0)
-        bq.fifo.pop_front();
-    else
-        bq.fifo.erase(bq.fifo.begin() +
-                      static_cast<std::ptrdiff_t>(pos));
+    // Served in its slot; the gap closes once the completion is
+    // scheduled, below.
+    Pending &p = bq[pos];
     --totalQueued_;
 
     // Backpressure: tell the client the moment occupancy drops back
@@ -157,9 +192,6 @@ ChannelController::issueFrom(unsigned b, std::size_t pos)
         s.finish += timing_.cyc(timing_.tBURST);
 
     busFree_ = s.finish;
-
-    // The buffer the bank holds open may have changed.
-    refreshHitPos(bq, bank);
 
     // Statistics.
     (p.req.isWrite ? stats_.writes : stats_.reads).inc();
@@ -219,6 +251,10 @@ ChannelController::issueFrom(unsigned b, std::size_t pos)
             cb(finish);
         });
     }
+
+    bq.erase(pos);
+    // The buffer the bank holds open may have changed.
+    refreshHitPos(bq, bank);
 }
 
 void
@@ -245,7 +281,7 @@ ChannelController::trySchedule()
         for (std::size_t i = 0; i < activeBanks_.size();) {
             const unsigned b = activeBanks_[i];
             BankQueue &bq = bankQueues_[b];
-            if (bq.fifo.empty()) {
+            if (bq.empty()) {
                 bq.active = false;
                 activeBanks_[i] = activeBanks_.back();
                 activeBanks_.pop_back();
@@ -256,7 +292,7 @@ ChannelController::trySchedule()
             // Within a bank requests are FIFO except for buffer
             // hits, so the front plus the oldest cached hit are the
             // only candidates this bank can contribute.
-            Pending &front = bq.fifo.front();
+            Pending &front = bq.front();
             const Bank::Lookahead la = bank.lookahead(
                 front.req.orient, front.dec.subarray, front.bufferIdx,
                 timing_);
@@ -277,7 +313,7 @@ ChannelController::trySchedule()
 
             if (bq.hitPos > 0) {
                 const Pending &h =
-                    bq.fifo[static_cast<std::size_t>(bq.hitPos)];
+                    bq[static_cast<std::size_t>(bq.hitPos)];
                 const Tick hitReady =
                     std::max(bank.nextReady(),
                              busReadyAt(timing_.cyc(timing_.tCAS)));
@@ -322,7 +358,7 @@ void
 ChannelController::reset()
 {
     for (auto &bq : bankQueues_) {
-        bq.fifo.clear();
+        bq.clear();
         bq.hitPos = -1;
         bq.active = false;
     }

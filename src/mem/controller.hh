@@ -8,8 +8,8 @@
 #define RCNVM_MEM_CONTROLLER_HH_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -89,8 +89,17 @@ class ChannelController
     /** True when the request queue has room. */
     bool canAccept() const { return totalQueued_ < capacity_; }
 
-    /** Add a request (caller must have checked canAccept). */
-    void enqueue(MemRequest &&req);
+    /** Add a request whose address @p dec already decodes (caller
+     *  must have checked canAccept). */
+    void enqueue(MemRequest &&req, const DecodedAddr &dec);
+
+    /** Add a request, decoding its address here. */
+    void
+    enqueue(MemRequest &&req)
+    {
+        const DecodedAddr dec = map_.decode(req.addr, req.orient);
+        enqueue(std::move(req), dec);
+    }
 
     /** Number of queued (not yet issued) requests. */
     std::size_t queued() const { return totalQueued_; }
@@ -125,14 +134,43 @@ class ChannelController
         unsigned bypassed = 0;
     };
 
-    /** Pending requests of one bank, in arrival order. */
+    /** Pending requests of one bank, in arrival order: a ring of
+     *  reused slots whose power-of-two capacity doubles when full
+     *  and never shrinks, so steady traffic allocates nothing. A
+     *  pushed slot still holds a served or moved-from request (its
+     *  continuation already gone); the caller overwrites every
+     *  field. */
     struct BankQueue {
-        std::deque<Pending> fifo;
+        std::vector<Pending> ring;
+        std::size_t head = 0;  //!< ring index of the oldest entry
+        std::size_t count = 0; //!< queued entries
         /** Position of the oldest open-buffer hit, or -1. Valid
          *  against the bank's current buffer state; recomputed after
          *  every issue from this bank. */
         std::ptrdiff_t hitPos = -1;
         bool active = false; //!< listed in activeBanks_
+
+        bool empty() const { return count == 0; }
+        std::size_t size() const { return count; }
+
+        /** Entry @p i in arrival order (0 = oldest). */
+        Pending &
+        operator[](std::size_t i)
+        {
+            return ring[(head + i) & (ring.size() - 1)];
+        }
+
+        Pending &front() { return ring[head]; }
+
+        /** Append a slot and return it for the caller to fill. */
+        Pending &pushBack();
+
+        /** Close the gap left by entry @p pos, shifting the shorter
+         *  side by one slot. */
+        void erase(std::size_t pos);
+
+        /** Drop every entry (and the continuations they own). */
+        void clear();
     };
 
     /** Flat bank index for a decoded address. */

@@ -70,14 +70,14 @@ MemorySystem::issue(MemRequest &&req)
         rcnvm_panic("gathered request issued to ", toString(kind_));
 
     const DecodedAddr d = map_.decode(req.addr, req.orient);
-    channels_[d.channel]->enqueue(std::move(req));
+    channels_[d.channel]->enqueue(std::move(req), d);
 }
 
 bool
 MemorySystem::tryIssue(MemPacket &pkt)
 {
-    // Decoded once: this runs for every miss, and routing through
-    // canAccept() + issue() would repeat the address decode.
+    // Decoded once, here, and handed to the controller: this runs
+    // for every miss.
     const DecodedAddr d = map_.decode(pkt.addr, pkt.orient);
     if (!channels_[d.channel]->canAccept()) {
         rejectedIssues_.inc();
@@ -90,7 +90,7 @@ MemorySystem::tryIssue(MemPacket &pkt)
     }
     if (pkt.gathered && !caps_.gather)
         rcnvm_panic("gathered request issued to ", toString(kind_));
-    channels_[d.channel]->enqueue(std::move(pkt));
+    channels_[d.channel]->enqueue(std::move(pkt), d);
     return true;
 }
 

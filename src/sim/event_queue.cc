@@ -6,6 +6,15 @@
 
 namespace rcnvm::sim {
 
+EventQueue::~EventQueue()
+{
+    // Callbacks still pending own their captures.
+    for (const Entry &e : heap_) {
+        Slot &s = slotAt(e.slot);
+        s.drop(s.buf);
+    }
+}
+
 void
 EventQueue::panicPastEvent(Tick when) const
 {
@@ -18,10 +27,12 @@ EventQueue::reset()
     if (!heap_.empty())
         rcnvm_panic("event queue reset with ", heap_.size(),
                     " events pending");
-    slab_.clear();
+    // Every slot is free again; the chunks are kept for reuse.
     free_.clear();
+    fresh_ = 0;
     now_ = Tick{0};
     nextSeq_ = 0;
+    currentSeq_ = 0;
     executed_ = 0;
 }
 
@@ -55,38 +66,32 @@ EventQueue::popTop()
     return top;
 }
 
-EventQueue::Callback
-EventQueue::takeSlot(std::uint32_t slot)
+void
+EventQueue::runTop()
 {
-    // Move out before running: the callback may schedule new events
-    // and reallocate the slab.
-    Callback cb = std::move(slab_[slot]);
-    free_.push_back(slot);
-    return cb;
+    const Entry entry = popTop();
+    now_ = entry.when;
+    currentSeq_ = entry.seq;
+    ++executed_;
+    // The callback may schedule events (growing the chunk list);
+    // its own slot stays put because chunks never move.
+    Slot &s = slotAt(entry.slot);
+    s.run(s.buf);
+    free_.push_back(entry.slot);
 }
 
 void
 EventQueue::run()
 {
-    while (!heap_.empty()) {
-        const Entry entry = popTop();
-        Callback cb = takeSlot(entry.slot);
-        now_ = entry.when;
-        ++executed_;
-        cb();
-    }
+    while (!heap_.empty())
+        runTop();
 }
 
 void
 EventQueue::runUntil(Tick limit)
 {
-    while (!heap_.empty() && heap_.front().when <= limit) {
-        const Entry entry = popTop();
-        Callback cb = takeSlot(entry.slot);
-        now_ = entry.when;
-        ++executed_;
-        cb();
-    }
+    while (!heap_.empty() && heap_.front().when <= limit)
+        runTop();
     if (now_ < limit)
         now_ = limit;
 }

@@ -10,22 +10,17 @@
 #ifndef RCNVM_SIM_EVENT_QUEUE_HH_
 #define RCNVM_SIM_EVENT_QUEUE_HH_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "util/types.hh"
-#include "util/unique_function.hh"
 
 namespace rcnvm::sim {
-
-/** Move-only inline-storage callable used for event callbacks.
- *  The widened inline capacity fits the largest hot-path capture (a
- *  moved-in MemRequest carrying its completion continuation), so
- *  scheduling an event never allocates. */
-using UniqueFunction = util::UniqueFunction<void(), 160>;
 
 /**
  * A deterministic tick-ordered event queue.
@@ -33,39 +28,67 @@ using UniqueFunction = util::UniqueFunction<void(), 160>;
  * Events are arbitrary callables. The queue owns no component state;
  * everything interesting happens inside the callbacks. Internally a
  * heap of small POD entries ordered by (tick, seq), where seq is the
- * insertion order; the callbacks themselves live in a slab indexed
- * by the entries, so heap sifts move small PODs instead of
- * relocating whole captures.
+ * insertion order. Each callable is constructed straight into a slot
+ * of fixed-size chunks that never move, run there and destroyed
+ * there: heap sifts move small PODs, and a callback is never
+ * relocated between scheduling and running.
  */
 class EventQueue
 {
   public:
-    using Callback = UniqueFunction;
+    /** Insertion-order stamp of an event (same-tick tie-break). */
+    using Seq = std::uint64_t;
 
-    EventQueue()
-    {
-        heap_.reserve(64);
-        slab_.reserve(64);
-        free_.reserve(64);
-    }
+    /** Captures up to this size live in the slot itself; larger
+     *  callables are heap-allocated. Sized for the largest hot-path
+     *  capture: a `this` pointer plus a moved-in MemPacket carrying
+     *  its completion continuation. */
+    static constexpr std::size_t kInlineBytes = 160;
 
-    /** Schedule @p cb to run at absolute tick @p when.
+    EventQueue() { heap_.reserve(64); }
+    ~EventQueue();
+
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
+    /** Schedule @p f to run at absolute tick @p when.
      *  @pre when >= now()
      *  Defined inline: this runs several times per simulated access,
-     *  and inlining lets callers materialise the callback directly
-     *  in the slab slot. */
+     *  and inlining lets the caller's lambda be built directly in
+     *  its slot. */
+    template <typename F>
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F &&f)
     {
         if (when < now_)
             panicPastEvent(when);
-        pushEntry(Entry{when, nextSeq_++, storeSlot(std::move(cb))});
+        pushEntry(Entry{when, nextSeq_++, store(std::forward<F>(f))});
     }
 
-    /** Schedule @p cb to run @p delay ticks from now. */
-    void scheduleAfter(Tick delay, Callback cb)
+    /** Schedule @p f to run @p delay ticks from now. */
+    template <typename F>
+    void
+    scheduleAfter(Tick delay, F &&f)
     {
-        schedule(now_ + delay, std::move(cb));
+        schedule(now_ + delay, std::forward<F>(f));
+    }
+
+    /** Take the next insertion-order stamp without scheduling
+     *  anything: the caller may later place an event at exactly the
+     *  position a schedule() call made now would have had. */
+    Seq reserveSeq() { return nextSeq_++; }
+
+    /** Schedule @p f at (@p when, @p seq), where @p seq came from
+     *  reserveSeq(). It runs before every same-tick event scheduled
+     *  after the reservation.
+     *  @pre (when, seq) is not earlier than the running event */
+    template <typename F>
+    void
+    scheduleReserved(Tick when, Seq seq, F &&f)
+    {
+        if (when < now_)
+            panicPastEvent(when);
+        pushEntry(Entry{when, seq, store(std::forward<F>(f))});
     }
 
     /** Run events until the queue is empty. */
@@ -77,6 +100,10 @@ class EventQueue
 
     /** Current simulated time. */
     Tick now() const { return now_; }
+
+    /** Insertion-order stamp of the running (or last run) event;
+     *  with now() it places the running event in the total order. */
+    Seq currentSeq() const { return currentSeq_; }
 
     /** Number of pending events. */
     std::size_t pending() const { return heap_.size(); }
@@ -102,7 +129,7 @@ class EventQueue
 
     struct Entry {
         Tick when;
-        std::uint64_t seq; //!< insertion order (same-tick tie-break)
+        Seq seq; //!< insertion order (same-tick tie-break)
         std::uint32_t slot;
     };
 
@@ -116,20 +143,73 @@ class EventQueue
     }
     static_assert(sizeof(Entry) == 24, "heap entries stay 24 bytes");
 
-    /** Park @p cb in the slab and return its slot. */
-    std::uint32_t
-    storeSlot(Callback cb)
+    /** Storage of one pending callable: @c run invokes and then
+     *  destroys it, @c drop only destroys it (queue teardown). */
+    struct Slot {
+        alignas(std::max_align_t) unsigned char buf[kInlineBytes];
+        void (*run)(void *);
+        void (*drop)(void *);
+    };
+
+    /** Slots per chunk (a power of two: slot ids split by shift).
+     *  Kept small: 256-slot (45 KB) chunks fragmented the heap enough
+     *  to raise the peak RSS of the Table-2 sweep by 5 MB. */
+    static constexpr unsigned kChunkShift = 6;
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+
+    Slot &
+    slotAt(std::uint32_t id)
     {
-        std::uint32_t slot;
+        return chunks_[id >> kChunkShift][id & (kChunkSlots - 1)];
+    }
+
+    /** A recycled slot, or the next fresh one (growing by a chunk
+     *  when all are in use; existing chunks never move). */
+    std::uint32_t
+    acquireSlot()
+    {
         if (!free_.empty()) {
-            slot = free_.back();
+            const std::uint32_t id = free_.back();
             free_.pop_back();
-            slab_[slot] = std::move(cb);
-        } else {
-            slot = static_cast<std::uint32_t>(slab_.size());
-            slab_.push_back(std::move(cb));
+            return id;
         }
-        return slot;
+        if (fresh_ == chunks_.size() * kChunkSlots)
+            chunks_.emplace_back(new Slot[kChunkSlots]());
+        return fresh_++;
+    }
+
+    /** Construct @p f in a slot and return the slot id. */
+    template <typename F>
+    std::uint32_t
+    store(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        const std::uint32_t id = acquireSlot();
+        Slot &s = slotAt(id);
+        if constexpr (sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t)) {
+            ::new (static_cast<void *>(s.buf)) Fn(std::forward<F>(f));
+            s.run = [](void *b) {
+                Fn *fn = std::launder(static_cast<Fn *>(b));
+                (*fn)();
+                fn->~Fn();
+            };
+            s.drop = [](void *b) {
+                std::launder(static_cast<Fn *>(b))->~Fn();
+            };
+        } else {
+            ::new (static_cast<void *>(s.buf))
+                Fn *(new Fn(std::forward<F>(f)));
+            s.run = [](void *b) {
+                Fn *fn = *std::launder(static_cast<Fn **>(b));
+                (*fn)();
+                delete fn;
+            };
+            s.drop = [](void *b) {
+                delete *std::launder(static_cast<Fn **>(b));
+            };
+        }
+        return id;
     }
 
     /** Sift @p e up into the 4-ary min-heap. */
@@ -151,14 +231,18 @@ class EventQueue
     /** Remove and return the earliest entry of the 4-ary min-heap. */
     Entry popTop();
 
-    /** Take the callback for @p slot and recycle the slot. */
-    Callback takeSlot(std::uint32_t slot);
+    /** Pop the earliest event, run its callback in place, then
+     *  recycle its slot (only after the callback is destroyed, so
+     *  events it schedules never land in its own storage). */
+    void runTop();
 
     std::vector<Entry> heap_;
-    std::vector<Callback> slab_;       //!< parked callbacks
-    std::vector<std::uint32_t> free_;  //!< recycled slab slots
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::vector<std::uint32_t> free_; //!< recycled slot ids
+    std::uint32_t fresh_ = 0;         //!< slots ever handed out
     Tick now_{0};
-    std::uint64_t nextSeq_ = 0;
+    Seq nextSeq_ = 0;
+    Seq currentSeq_ = 0;
     std::uint64_t executed_ = 0;
 };
 

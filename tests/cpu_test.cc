@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "cpu/machine.hh"
+#include "sim/epoch_sampler.hh"
 
 namespace rcnvm::cpu {
 namespace {
@@ -283,6 +284,162 @@ TEST(MachineTest, QueueWaitTailIsExported)
         const double l = std::log2(p99 + 1.0);
         EXPECT_DOUBLE_EQ(l, std::floor(l));
     }
+}
+
+// A core whose window is full before its next memory op parks
+// instead of scheduling an advance event that would only mark the
+// stall. These cases pin the exact finish tick, stall ticks and
+// event count of a window-1 core whose completion lands before, at
+// (on either side of the skipped event's queue position), and after
+// its ready tick. Finish and stall ticks are those of the unparked
+// core; the skipped event appears only when it would have mattered.
+
+/** One window-1 core; L1 hits take @p l1 CPU cycles. */
+MachineConfig
+parkingMachine(unsigned l1)
+{
+    MachineConfig config = smallMachine(mem::DeviceKind::RcNvm, 1);
+    config.hierarchy.cores = 1;
+    config.hierarchy.l1Latency = CpuCycles{l1};
+    return config;
+}
+
+struct ParkRun {
+    Tick ticks;
+    double stallTicks;
+    std::uint64_t events;
+};
+
+ParkRun
+parkRun(const MachineConfig &config, const AccessPlan &plan)
+{
+    Machine machine(config);
+    const RunResult r = machine.run(plan);
+    return {r.ticks, r.stats.get("cpu.stallTicks"),
+            machine.eventQueue().executed()};
+}
+
+constexpr Addr kParkAddr = 0x1000;
+constexpr Tick kCycle{500};
+
+/** One cold load: it parks nothing (no memory op follows). Its
+ *  events are the start, an idle advance one cycle later, and the
+ *  miss path ending in the completion. */
+ParkRun
+coldLoad(unsigned l1)
+{
+    return parkRun(parkingMachine(l1), AccessPlan{MemOp::load(kParkAddr)});
+}
+
+/** Three loads of one line: a cold miss, then two L1 hits, each
+ *  issued while the previous access holds the only window slot. The
+ *  cold miss completes long after its ready tick, so the event that
+ *  would have marked its stall is skipped for good. */
+ParkRun
+threeLoads(unsigned l1)
+{
+    return parkRun(parkingMachine(l1),
+                   AccessPlan{MemOp::load(kParkAddr),
+                              MemOp::load(kParkAddr),
+                              MemOp::load(kParkAddr)});
+}
+
+TEST(CoreParking, CompletionBeforeReadyTick)
+{
+    // The second load's hit completes in the cycle it issued: the
+    // skipped advance event is scheduled after all and issues the
+    // third load at the ready tick; nothing more stalls.
+    const ParkRun miss = coldLoad(0);
+    const ParkRun r = threeLoads(0);
+    EXPECT_EQ(r.ticks, miss.ticks + kCycle * 2u);
+    EXPECT_EQ(r.stallTicks,
+              static_cast<double>((miss.ticks - kCycle).value()));
+    // Two hits, the scheduled advance and the final advance, less
+    // the cold load's idle advance.
+    EXPECT_EQ(r.events, miss.events + 3u);
+}
+
+TEST(CoreParking, CompletionAtReadyTickBeforeTheSkippedEvent)
+{
+    // A one-cycle hit completes at the ready tick, from an event
+    // queued before the skipped one: the core issues at once, and
+    // the skipped event still runs at its own queue position.
+    const ParkRun miss = coldLoad(1);
+    const ParkRun r = threeLoads(1);
+    EXPECT_EQ(r.ticks, miss.ticks + kCycle * 2u);
+    EXPECT_EQ(r.stallTicks,
+              static_cast<double>((miss.ticks - kCycle).value()));
+    EXPECT_EQ(r.events, miss.events + 3u);
+}
+
+TEST(CoreParking, CompletionAtReadyTickAfterTheSkippedEvent)
+{
+    // A compute gap puts the ready tick exactly on the miss's
+    // completion, whose event is queued long after the core parked:
+    // the skipped event would have run first, so the stall starts
+    // and ends on the same tick and the event never runs.
+    const MachineConfig config = parkingMachine(4);
+    const ParkRun miss = coldLoad(4);
+    ASSERT_EQ(miss.ticks.value() % kCycle.value(), 0u);
+    const std::uint64_t gap =
+        (miss.ticks - kCycle).value() / kCycle.value();
+    const ParkRun r = parkRun(
+        config, AccessPlan{MemOp::load(kParkAddr), MemOp::compute(gap),
+                           MemOp::load(kParkAddr)});
+    EXPECT_EQ(r.ticks, miss.ticks + kCycle * 4u);
+    EXPECT_EQ(r.stallTicks, 0.0);
+    // The hit and the final advance; the idle advance became the
+    // compute op's.
+    EXPECT_EQ(r.events, miss.events + 2u);
+}
+
+TEST(CoreParking, CompletionAfterReadyTick)
+{
+    // A two-cycle hit completes one cycle after the ready tick: that
+    // cycle is a window-full stall, as is the cold miss's wait, and
+    // neither skipped event runs.
+    const ParkRun miss = coldLoad(2);
+    const ParkRun r = threeLoads(2);
+    EXPECT_EQ(r.ticks, miss.ticks + kCycle * 4u);
+    EXPECT_EQ(r.stallTicks, static_cast<double>(miss.ticks.value()));
+    EXPECT_EQ(r.events, miss.events + 2u);
+}
+
+TEST(CoreParking, ParkedCoreAlwaysLeavesAnEventPending)
+{
+    // The epoch sampler stops at the first epoch with nothing else
+    // queued. A parked core has no advance event queued, so its
+    // outstanding access must keep one pending (its send, completion
+    // or a controller wakeup). Sample every cycle and check.
+    sim::EventQueue eq;
+    mem::MemorySystem memory(mem::DeviceKind::RcNvm, eq);
+    cache::HierarchyConfig hcfg;
+    hcfg.cores = 1;
+    cache::Hierarchy hierarchy(hcfg, eq, memory);
+    Core core(0, eq, hierarchy, 2);
+    AccessPlan plan;
+    for (unsigned i = 0; i < 64; ++i)
+        plan.push_back(MemOp::load(Addr{i} * 64));
+    std::uint64_t parked = 0;
+    std::uint64_t parked_alone = 0;
+    sim::EpochSampler sampler(eq);
+    sampler.addGauge("parked", [&] {
+        if (core.parked()) {
+            ++parked;
+            parked_alone += eq.pending() == 0;
+        }
+        return 0.0;
+    });
+    sampler.start(kCycle);
+    Tick finish{0};
+    core.start(plan, [&finish](Tick t) { finish = t; });
+    eq.run();
+    ASSERT_TRUE(core.finished());
+    EXPECT_GT(parked, 0u);
+    EXPECT_EQ(parked_alone, 0u);
+    // Sampling covered the whole run.
+    ASSERT_FALSE(sampler.series().empty());
+    EXPECT_GE(sampler.series().ticks.back(), finish);
 }
 
 TEST(MachineDeathTest, TooManyPlansIsFatal)

@@ -194,7 +194,11 @@ placementName(const ::testing::TestParamInfo<PlacementParam> &info)
     name += std::get<1>(info.param) == ChunkLayout::RowOriented
                 ? "_Row"
                 : "_Col";
-    name += "_" + std::to_string(std::get<2>(info.param)) + "f";
+    // Appended piecewise: `"_" + std::string&&` draws GCC 12's
+    // false-positive -Wrestrict.
+    name += '_';
+    name += std::to_string(std::get<2>(info.param));
+    name += 'f';
     return name;
 }
 

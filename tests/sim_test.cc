@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "sim/clock_domain.hh"
@@ -124,6 +126,103 @@ TEST(EventQueueDeathTest, ResetWithPendingEventsPanics)
     EventQueue eq;
     eq.schedule(Tick{10}, [] {});
     EXPECT_DEATH(eq.reset(), "events pending");
+}
+
+TEST(EventQueue, CallbackSchedulingManyChunksKeepsItsOwnCapture)
+{
+    // The running callback's slot must stay put while it schedules
+    // several chunks' worth of events (the slot list grows under
+    // it), and each new event gets intact storage of its own.
+    EventQueue eq;
+    std::vector<int> order;
+    std::array<int, 32> mine{};
+    for (int i = 0; i < 32; ++i)
+        mine[static_cast<std::size_t>(i)] = 1000 + i;
+    bool own_capture_intact = false;
+    eq.schedule(Tick{1}, [&eq, &order, &own_capture_intact, mine] {
+        for (int i = 0; i < 1000; ++i) {
+            std::array<int, 32> payload{};
+            payload.fill(i);
+            eq.schedule(Tick{2}, [&order, payload] {
+                order.push_back(payload[31]);
+            });
+        }
+        own_capture_intact = true;
+        for (int i = 0; i < 32; ++i)
+            own_capture_intact &=
+                mine[static_cast<std::size_t>(i)] == 1000 + i;
+    });
+    eq.run();
+    EXPECT_TRUE(own_capture_intact);
+    ASSERT_EQ(order.size(), 1000u);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(eq.executed(), 1001u);
+}
+
+TEST(EventQueue, DestroyingAQueueDestroysPendingCallbacks)
+{
+    // Pending callbacks own their captures: both an inline capture
+    // and one too large for a slot (heap-held) must be released when
+    // the queue is destroyed unrun. Under ASan a leak fails the run.
+    auto token = std::make_shared<int>(7);
+    {
+        EventQueue eq;
+        eq.schedule(Tick{5}, [t = token] { (void)t; });
+        std::array<char, 4 * EventQueue::kInlineBytes> big{};
+        eq.schedule(Tick{6}, [t = token, big] {
+            (void)t;
+            (void)big;
+        });
+        eq.schedule(Tick{7}, [v = std::vector<int>(1000, 1)] {
+            (void)v;
+        });
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, RunCallbacksAreDestroyedAfterRunning)
+{
+    auto token = std::make_shared<int>(7);
+    EventQueue eq;
+    eq.schedule(Tick{5}, [t = token] { (void)t; });
+    std::array<char, 4 * EventQueue::kInlineBytes> big{};
+    eq.schedule(Tick{6}, [t = token, big] {
+        (void)t;
+        (void)big;
+    });
+    eq.run();
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ReservedSeqRunsBeforeLaterSameTickEvents)
+{
+    EventQueue eq;
+    std::vector<char> order;
+    eq.schedule(Tick{10}, [&order] { order.push_back('a'); });
+    const EventQueue::Seq seq = eq.reserveSeq();
+    eq.schedule(Tick{10}, [&order] { order.push_back('b'); });
+    // Placed later in real time, it still takes the reserved slot
+    // in the (tick, seq) order: after 'a', before 'b'.
+    eq.schedule(Tick{5}, [&eq, &order, seq] {
+        eq.scheduleReserved(Tick{10}, seq, [&eq, &order, seq] {
+            order.push_back('r');
+            EXPECT_EQ(eq.currentSeq(), seq);
+        });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'r', 'b'}));
+}
+
+TEST(EventQueueDeathTest, ReservedEventInThePastPanics)
+{
+    EventQueue eq;
+    const EventQueue::Seq seq = eq.reserveSeq();
+    eq.schedule(Tick{10}, [&eq, seq] {
+        eq.scheduleReserved(Tick{5}, seq, [] {});
+    });
+    EXPECT_DEATH(eq.run(), "scheduled in the past");
 }
 
 TEST(ClockDomain, CycleTickConversions)

@@ -105,8 +105,9 @@ bool
 isOrderSink(const std::string &s)
 {
     return oneOf(
-        s, {"schedule", "scheduleAfter", "inject", "post", "push",
-            "push_back", "push_front", "emplace", "emplace_back",
+        s, {"schedule", "scheduleAfter", "scheduleReserved", "inject",
+            "post", "push", "push_back", "push_front", "emplace",
+            "emplace_back",
             "emplace_front", "insert", "add", "set", "addCounter",
             "addCounterFn", "addValue", "addSampled", "addHistogram",
             "addGauge", "addFormula"});
@@ -446,7 +447,8 @@ checkRawTypeParams(const SourceFile &f, std::vector<Diag> &out)
 bool
 isScheduleEntry(const std::string &s)
 {
-    return oneOf(s, {"schedule", "scheduleAfter", "inject", "post"});
+    return oneOf(s, {"schedule", "scheduleAfter", "scheduleReserved",
+                     "inject", "post"});
 }
 
 void
