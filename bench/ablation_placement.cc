@@ -66,8 +66,14 @@ runScan(imdb::PlacementPolicy policy, bool rotation,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "ablation_placement",
+        "Ablation: inter-chunk placement policy (Sec. 4.5.3). Compares the\n"
+        "Packed (fewest subarrays) and Spread (one bin per bank) policies\n"
+        "and the effect of rotation on packing density.");
+
     util::setLogLevel(util::LogLevel::Quiet);
     const workload::TableSet tables =
         workload::TableSet::standard(bench::benchTuples());

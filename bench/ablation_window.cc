@@ -14,8 +14,14 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "ablation_window",
+        "Ablation: memory-level parallelism. Sweeps the outstanding\n"
+        "accesses per core and shows how the RC-NVM advantage depends on\n"
+        "it.");
+
     util::setLogLevel(util::LogLevel::Quiet);
     const workload::TableSet tables =
         workload::TableSet::standard(bench::benchTuples(65536));

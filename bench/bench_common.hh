@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -26,38 +27,36 @@
 
 namespace rcnvm::bench {
 
-/**
- * Standard `--help` handling for the bench binaries.
- *
- * Scans argv for `--help`/`-h`; when present prints a usage block —
- * the one-line description, any bench-specific option lines, and the
- * environment knobs every bench honours — and returns true so main
- * can exit 0 without running the sweep.
- */
-inline bool
-handleUsage(int argc, char **argv, const std::string &name,
-            const std::string &description,
-            const std::vector<std::string> &options = {})
-{
-    bool wanted = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--help" ||
-            std::string(argv[i]) == "-h")
-            wanted = true;
-    }
-    if (!wanted)
-        return false;
+/** The command line a bench accepted (see handleUsage). */
+struct BenchArgs {
+    std::vector<std::string> flags; //!< declared flags given
+    std::string positional;         //!< positional argument, or ""
 
-    std::cout << "usage: " << name << " [--help]";
-    for (const std::string &opt : options)
-        std::cout << " [" << opt.substr(0, opt.find(' ')) << "]";
-    std::cout << "\n\n" << description << "\n";
-    if (!options.empty()) {
-        std::cout << "\noptions:\n";
-        for (const std::string &opt : options)
-            std::cout << "  " << opt << "\n";
+    /** True when the declared flag @p flag was given. */
+    bool
+    has(std::string_view flag) const
+    {
+        return std::find(flags.begin(), flags.end(), flag) !=
+               flags.end();
     }
-    std::cout <<
+};
+
+/** Print bench @p name's usage block to @p os. */
+inline void
+printUsage(std::ostream &os, const std::string &name,
+           const std::string &description,
+           const std::vector<std::string> &options)
+{
+    os << "usage: " << name << " [--help]";
+    for (const std::string &opt : options)
+        os << " [" << opt.substr(0, opt.find(' ')) << "]";
+    os << "\n\n" << description << "\n";
+    if (!options.empty()) {
+        os << "\noptions:\n";
+        for (const std::string &opt : options)
+            os << "  " << opt << "\n";
+    }
+    os <<
         "\nenvironment:\n"
         "  RCNVM_SEED          experiment seed (tables and request\n"
         "                      generators); same seed => identical\n"
@@ -69,7 +68,58 @@ handleUsage(int argc, char **argv, const std::string &name,
         "                      epoch series (exported with stats)\n"
         "  RCNVM_CHROME_TRACE  write a chrome://tracing JSON to this\n"
         "                      path\n";
-    return true;
+}
+
+/**
+ * Standard command-line handling for the bench binaries.
+ *
+ * Each @p options line declares one argument by its first word: a
+ * flag (`--smoke  reduced run`) or, in angle brackets, the bench's
+ * one positional argument (`<trace.rtb>  trace file`). `--help` or
+ * `-h` prints the usage block — the description, the option lines,
+ * and the environment knobs every bench honours — to stdout and
+ * exits 0. Any argument that is not declared prints the usage to
+ * stderr and exits 2, before the bench simulates anything.
+ */
+inline BenchArgs
+handleUsage(int argc, char **argv, const std::string &name,
+            const std::string &description,
+            const std::vector<std::string> &options = {})
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            printUsage(std::cout, name, description, options);
+            std::exit(0);
+        }
+    }
+
+    bool takesPositional = false;
+    std::vector<std::string> declared;
+    for (const std::string &opt : options) {
+        declared.push_back(opt.substr(0, opt.find(' ')));
+        takesPositional = takesPositional || opt.starts_with('<');
+    }
+
+    BenchArgs args;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.starts_with('-')) {
+            if (std::find(declared.begin(), declared.end(), arg) !=
+                declared.end()) {
+                args.flags.push_back(arg);
+                continue;
+            }
+        } else if (takesPositional && args.positional.empty()) {
+            args.positional = arg;
+            continue;
+        }
+        std::cerr << name << ": unexpected argument '" << arg
+                  << "'\n\n";
+        printUsage(std::cerr, name, description, options);
+        std::exit(2);
+    }
+    return args;
 }
 
 /** Tuples per benchmark table (override: RCNVM_TUPLES; malformed

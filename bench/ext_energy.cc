@@ -19,8 +19,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "ext_energy",
+        "Extension bench: memory energy per query of the timed SQL suite\n"
+        "on RC-NVM, RRAM, GS-DRAM, and DRAM, in microjoules.");
+
     const auto rows = bench::runSqlSuite(bench::benchTuples());
 
     util::TablePrinter t(

@@ -22,7 +22,6 @@
  */
 
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <tuple>
 #include <string>
@@ -62,21 +61,15 @@ shrinkCaches(cpu::MachineConfig &config)
 int
 main(int argc, char **argv)
 {
-    if (bench::handleUsage(
-            argc, argv, "ext_hybrid_tier",
-            "Extension bench: hybrid DRAM + RC-NVM tier vs the "
-            "static placements\non the OLXP service workload "
-            "(hot-set OLTP stream over an OLAP\ncolumn-scan "
-            "background), one sweep per migration policy.",
-            {"--smoke  reduced sweep (smaller table, fewer load "
-             "points) for CI"}))
-        return 0;
-
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bench::BenchArgs args = bench::handleUsage(
+        argc, argv, "ext_hybrid_tier",
+        "Extension bench: hybrid DRAM + RC-NVM tier vs the "
+        "static placements\non the OLXP service workload "
+        "(hot-set OLTP stream over an OLAP\ncolumn-scan "
+        "background), one sweep per migration policy.",
+        {"--smoke  reduced sweep (smaller table, fewer load "
+         "points) for CI"});
+    const bool smoke = args.has("--smoke");
 
     util::setLogLevel(util::LogLevel::Quiet);
 

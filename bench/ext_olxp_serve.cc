@@ -32,7 +32,6 @@
  * RCNVM_SERVE_HORIZON.
  */
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -71,24 +70,18 @@ runServe(mem::DeviceKind kind, const workload::PlacedDatabase &pd,
 int
 main(int argc, char **argv)
 {
-    if (bench::handleUsage(
-            argc, argv, "ext_olxp_serve",
-            "Extension bench: multi-tenant serving at 10^3 streams. "
-            "Runs the\nserving subsystem (plan optimizer, SLO-aware "
-            "dispatch, shared scans)\non the 8-channel/16-core "
-            "machine and reports OLTP tail protection,\nbackfill "
-            "retention, shared-scan amplification, and chunk "
-            "pruning.",
-            {"--smoke  reduced run (smaller tables, shorter horizon) "
-             "for CI;\n         asserts the SLO and retention "
-             "targets"}))
-        return 0;
-
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bench::BenchArgs args = bench::handleUsage(
+        argc, argv, "ext_olxp_serve",
+        "Extension bench: multi-tenant serving at 10^3 streams. "
+        "Runs the\nserving subsystem (plan optimizer, SLO-aware "
+        "dispatch, shared scans)\non the 8-channel/16-core "
+        "machine and reports OLTP tail protection,\nbackfill "
+        "retention, shared-scan amplification, and chunk "
+        "pruning.",
+        {"--smoke  reduced run (smaller tables, shorter horizon) "
+         "for CI;\n         asserts the SLO and retention "
+         "targets"});
+    const bool smoke = args.has("--smoke");
 
     util::setLogLevel(util::LogLevel::Quiet);
 

@@ -24,7 +24,6 @@
  * RCNVM_OLXP_UPDATE_PCT, RCNVM_OLXP_HORIZON.
  */
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -46,22 +45,16 @@ usLabel(double ticks)
 int
 main(int argc, char **argv)
 {
-    if (bench::handleUsage(
-            argc, argv, "ext_olxp_service",
-            "Extension bench: OLXP service saturation curves. Sweeps "
-            "the offered\nopen-loop OLTP load against a fixed "
-            "closed-loop OLAP scan background\non all four devices "
-            "and reports per-class tail latency and each\ndevice's "
-            "saturation knee.",
-            {"--smoke  reduced sweep (smaller tables, fewer load "
-             "points) for CI"}))
-        return 0;
-
-    bool smoke = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-    }
+    const bench::BenchArgs args = bench::handleUsage(
+        argc, argv, "ext_olxp_service",
+        "Extension bench: OLXP service saturation curves. Sweeps "
+        "the offered\nopen-loop OLTP load against a fixed "
+        "closed-loop OLAP scan background\non all four devices "
+        "and reports per-class tail latency and each\ndevice's "
+        "saturation knee.",
+        {"--smoke  reduced sweep (smaller tables, fewer load "
+         "points) for CI"});
+    const bool smoke = args.has("--smoke");
 
     util::setLogLevel(util::LogLevel::Quiet);
 

@@ -71,8 +71,13 @@ runZippedScan(bool salp, const workload::TableSet &tables)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "ext_salp",
+        "Extension bench: SALP-style subarray-level parallelism combined\n"
+        "with RC-NVM on an interleaved two-table column scan.");
+
     util::setLogLevel(util::LogLevel::Quiet);
     const workload::TableSet tables =
         workload::TableSet::standard(bench::benchTuples(65536));

@@ -22,7 +22,6 @@
  * row-oriented equivalents, identically on both replay paths.
  */
 
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -89,34 +88,19 @@ class AdaptSource final : public cpu::OpSource
 int
 main(int argc, char **argv)
 {
-    if (bench::handleUsage(
-            argc, argv, "ext_trace_replay",
-            "Extension bench: replay a binary access trace (see\n"
-            "tools/rcnvm_trace_convert) across the Table-1 device "
-            "models with\nthe standard stats pipeline.",
-            {"--smoke       RC-NVM + DRAM only (CI)",
-             "--fixed-plan  materialise the trace and replay "
-             "through the\n               fixed-plan path instead "
-             "of streaming",
-             "<trace.rtb>   binary trace file (required)"}))
-        return 0;
-
-    bool smoke = false;
-    bool fixedPlan = false;
-    std::string path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--fixed-plan") == 0)
-            fixedPlan = true;
-        else if (argv[i][0] == '-')
-            rcnvm_fatal("unknown option ", argv[i],
-                        " (see --help)");
-        else if (!path.empty())
-            rcnvm_fatal("more than one trace file given");
-        else
-            path = argv[i];
-    }
+    const bench::BenchArgs args = bench::handleUsage(
+        argc, argv, "ext_trace_replay",
+        "Extension bench: replay a binary access trace (see\n"
+        "tools/rcnvm_trace_convert) across the Table-1 device "
+        "models with\nthe standard stats pipeline.",
+        {"--smoke       RC-NVM + DRAM only (CI)",
+         "--fixed-plan  materialise the trace and replay "
+         "through the\n               fixed-plan path instead "
+         "of streaming",
+         "<trace.rtb>   binary trace file (required)"});
+    const bool smoke = args.has("--smoke");
+    const bool fixedPlan = args.has("--fixed-plan");
+    const std::string &path = args.positional;
     if (path.empty())
         rcnvm_fatal("no trace file given; convert one with "
                     "rcnvm_trace_convert and pass <trace.rtb>");

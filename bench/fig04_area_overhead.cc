@@ -16,8 +16,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "fig04_area_overhead",
+        "Figure 4 reproduction: area overhead of RC-DRAM over DRAM and of\n"
+        "RC-NVM over RRAM versus the word/bit line count of one array.");
+
     circuit::AreaModel model;
 
     util::TablePrinter t(

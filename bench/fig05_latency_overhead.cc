@@ -14,8 +14,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "fig05_latency_overhead",
+        "Figure 5 reproduction: RC-NVM read-latency overhead versus the\n"
+        "word/bit line count of one array.");
+
     circuit::LatencyModel model;
 
     util::TablePrinter t(

@@ -37,12 +37,11 @@ runOne(mem::DeviceKind kind, const workload::TableSet &tables,
 int
 main(int argc, char **argv)
 {
-    if (bench::handleUsage(
-            argc, argv, "fig17_micro",
-            "Figure 17 reproduction: {row,col} x {read,write} scan "
-            "micro-benchmarks\non RC-NVM, RRAM, and DRAM, for "
-            "row-oriented (L1) and column-oriented\n(L2) layouts."))
-        return 0;
+    bench::handleUsage(
+        argc, argv, "fig17_micro",
+        "Figure 17 reproduction: {row,col} x {read,write} scan "
+        "micro-benchmarks\non RC-NVM, RRAM, and DRAM, for "
+        "row-oriented (L1) and column-oriented\n(L2) layouts.");
 
     util::setLogLevel(util::LogLevel::Quiet);
     const std::uint64_t tuples = bench::benchTuples(32768);

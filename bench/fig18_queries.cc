@@ -18,11 +18,10 @@ using namespace rcnvm;
 int
 main(int argc, char **argv)
 {
-    if (bench::handleUsage(
-            argc, argv, "fig18_queries",
-            "Figure 18 reproduction: execution time of the Q1-Q13 "
-            "SQL suite on\nRC-NVM, RRAM, GS-DRAM, and DRAM."))
-        return 0;
+    bench::handleUsage(
+        argc, argv, "fig18_queries",
+        "Figure 18 reproduction: execution time of the Q1-Q13 "
+        "SQL suite on\nRC-NVM, RRAM, GS-DRAM, and DRAM.");
 
     const auto rows = bench::runSqlSuite(bench::benchTuples());
 

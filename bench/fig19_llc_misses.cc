@@ -14,8 +14,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "fig19_llc_misses",
+        "Figure 19 reproduction: memory accesses (LLC misses) per query\n"
+        "on RC-NVM, RRAM, GS-DRAM, and DRAM.");
+
     const auto rows = bench::runSqlSuite(bench::benchTuples());
 
     util::TablePrinter t("Figure 19: LLC misses (x10^3)");

@@ -14,8 +14,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "fig20_buffer_miss",
+        "Figure 20 reproduction: combined row-/column-buffer miss rate\n"
+        "per query on RC-NVM, RRAM, GS-DRAM, and DRAM.");
+
     const auto rows = bench::runSqlSuite(bench::benchTuples());
 
     // The paper's Figure-20 axis extends past 100%, indicating the

@@ -14,8 +14,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "fig21_coherence",
+        "Figure 21 reproduction: cache synonym and coherence overhead of\n"
+        "RC-NVM's dual addressing, as a fraction of each query's time.");
+
     util::setLogLevel(util::LogLevel::Quiet);
     const workload::TableSet tables =
         workload::TableSet::standard(bench::benchTuples());

@@ -36,8 +36,14 @@ meanSuite(const workload::QueryWorkload &wl, mem::DeviceKind kind,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "fig22_sensitivity",
+        "Figure 22 reproduction: mean Q1-Q13 execution time versus the\n"
+        "RRAM/RC-NVM cell read latency and write pulse width, with DRAM\n"
+        "as the reference line.");
+
     util::setLogLevel(util::LogLevel::Quiet);
     // The sweep runs the full suite 11 times; default to a lighter
     // scale than the other benches.

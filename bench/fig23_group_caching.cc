@@ -16,8 +16,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "fig23_group_caching",
+        "Figure 23 reproduction: the group-caching optimisation on Q14\n"
+        "and Q15, sweeping the cache lines filled per column group.");
+
     util::setLogLevel(util::LogLevel::Quiet);
     const workload::TableSet tables =
         workload::TableSet::standard(bench::benchTuples());

@@ -102,13 +102,12 @@ BM_ChannelControllerThroughput(benchmark::State &state)
     std::uint64_t completions = 0;
     for (auto _ : state) {
         for (const Addr a : addrs) {
-            mem::MemRequest req;
+            mem::MemPacket req;
             req.addr = a;
             req.orient = Orientation::Row;
             req.onComplete = [&completions](Tick) { ++completions; };
-            memory.issue(std::move(req));
             // Drain in chunks so queues stay at realistic depths.
-            if (!memory.canAccept(a, Orientation::Row))
+            while (!memory.tryIssue(req))
                 eq.run();
         }
         eq.run();

@@ -50,8 +50,14 @@ printDevice(util::TablePrinter &t, mem::DeviceKind kind)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "tab01_config",
+        "Table 1 reproduction: the simulated system configuration the\n"
+        "presets instantiate (processor, caches, memory controller, and\n"
+        "device timings).");
+
     util::setLogLevel(util::LogLevel::Quiet);
     const auto cfg = core::table1Machine(mem::DeviceKind::RcNvm);
 

@@ -12,8 +12,13 @@
 using namespace rcnvm;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::handleUsage(
+        argc, argv, "tab02_queries",
+        "Table 2 reproduction: the benchmark query set, with the plan\n"
+        "sizes the compiler produces on RC-NVM.");
+
     util::setLogLevel(util::LogLevel::Quiet);
     const std::uint64_t tuples = bench::benchTuples(16384);
     const workload::TableSet tables =

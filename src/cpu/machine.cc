@@ -94,42 +94,16 @@ Machine::run(const std::vector<AccessPlan> &plans)
         rcnvm_fatal("more plans (", plans.size(), ") than cores (",
                     cores_.size(), ")");
 
-    const Tick start = eq_.now();
-    Tick latest = start;
-    unsigned running = 0;
-
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-        if (plans[i].empty())
-            continue;
-        ++running;
-        cores_[i]->start(plans[i], [&latest, &running](Tick t) {
-            latest = std::max(latest, t);
-            --running;
-        });
+    // Sized up front: the sources must not move while cores hold
+    // pointers to them.
+    std::vector<PlanOpSource> planSources;
+    planSources.reserve(plans.size());
+    std::vector<OpSource *> sources;
+    for (const AccessPlan &plan : plans) {
+        planSources.emplace_back(plan);
+        sources.push_back(plan.empty() ? nullptr : &planSources.back());
     }
-
-    if (sampler_)
-        sampler_->start(config_.epochTicks);
-
-    eq_.run();
-
-    if (running != 0)
-        rcnvm_panic("simulation deadlock: ", running,
-                    " cores never finished");
-
-    // One snapshot of the shared registry replaces the old per-layer
-    // StatsMap merge: derived values are formulas evaluated here,
-    // over fully aggregated inputs, so nothing non-additive is ever
-    // pushed through StatsMap::merge.
-    RunResult result;
-    result.ticks = latest - start;
-    result.stats = registry_.snapshot();
-    result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
-    if (sampler_) {
-        result.series = sampler_->series();
-        sampler_->clear();
-    }
-    return result;
+    return runSources(sources);
 }
 
 RunResult
@@ -147,36 +121,14 @@ Machine::runSources(const std::vector<OpSource *> &sources)
 
     const Tick start = eq_.now();
     Tick latest = start;
-    unsigned running = 0;
-
     for (std::size_t i = 0; i < sources.size(); ++i) {
         if (sources[i] == nullptr)
             continue;
-        ++running;
-        cores_[i]->start(*sources[i], [&latest, &running](Tick t) {
+        cores_[i]->start(*sources[i], [&latest](Tick t) {
             latest = std::max(latest, t);
-            --running;
         });
     }
-
-    if (sampler_)
-        sampler_->start(config_.epochTicks);
-
-    eq_.run();
-
-    if (running != 0)
-        rcnvm_panic("simulation deadlock: ", running,
-                    " cores never finished");
-
-    RunResult result;
-    result.ticks = latest - start;
-    result.stats = registry_.snapshot();
-    result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
-    if (sampler_) {
-        result.series = sampler_->series();
-        sampler_->clear();
-    }
-    return result;
+    return drain(start, &latest);
 }
 
 void
@@ -203,8 +155,12 @@ Machine::startOnCore(unsigned c, const AccessPlan &plan, bool priority,
 RunResult
 Machine::serve()
 {
-    const Tick start = eq_.now();
+    return drain(eq_.now(), nullptr);
+}
 
+RunResult
+Machine::drain(Tick start, const Tick *last_finish)
+{
     if (sampler_)
         sampler_->start(config_.epochTicks);
 
@@ -212,12 +168,16 @@ Machine::serve()
 
     for (std::size_t c = 0; c < cores_.size(); ++c) {
         if (!cores_[c]->finished())
-            rcnvm_panic("service deadlock: core ", c,
+            rcnvm_panic("simulation deadlock: core ", c,
                         " never finished");
     }
 
+    // One snapshot of the shared registry replaces the old per-layer
+    // StatsMap merge: derived values are formulas evaluated here,
+    // over fully aggregated inputs, so nothing non-additive is ever
+    // pushed through StatsMap::merge.
     RunResult result;
-    result.ticks = eq_.now() - start;
+    result.ticks = (last_finish ? *last_finish : eq_.now()) - start;
     result.stats = registry_.snapshot();
     result.stats.set("run.ticks", static_cast<double>(result.ticks.value()));
     if (sampler_) {

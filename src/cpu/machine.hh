@@ -193,6 +193,15 @@ class Machine
     util::StatRegistry &registry() { return registry_; }
 
   private:
+    /**
+     * The one run loop behind run(), runSources() and serve(): start
+     * the epoch sampler, run the event loop until it drains, panic
+     * if any core is still busy, and snapshot the statistics.
+     * RunResult::ticks spans from @p start to @p last_finish, or to
+     * the last event when @p last_finish is null.
+     */
+    RunResult drain(Tick start, const Tick *last_finish);
+
     MachineConfig config_;
     sim::EventQueue eq_;
     std::unique_ptr<mem::MemorySystem> memory_;

@@ -8,8 +8,27 @@
 namespace rcnvm::mem {
 
 namespace {
+
 constexpr std::uint64_t noSeq = std::numeric_limits<std::uint64_t>::max();
 constexpr Tick noTick = std::numeric_limits<Tick>::max();
+
+/** The oldest candidate of one kind offered in a scheduling round. */
+struct Oldest {
+    std::uint64_t seq = noSeq;
+    unsigned bank = 0;
+    std::size_t pos = 0;
+
+    void
+    offer(std::uint64_t s, unsigned b, std::size_t p)
+    {
+        if (s < seq) {
+            seq = s;
+            bank = b;
+            pos = p;
+        }
+    }
+};
+
 } // namespace
 
 ChannelController::ChannelController(const AddressMap &map,
@@ -21,7 +40,7 @@ ChannelController::ChannelController(const AddressMap &map,
     : map_(map),
       timing_(timing),
       eq_(eq),
-      policy_(makeSchedulerPolicy(sched)),
+      readPriority_(sched == SchedPolicyKind::ReadPriority),
       capacity_(queue_capacity),
       channelId_(channel_id),
       statsSince_(eq.now())
@@ -85,7 +104,7 @@ ChannelController::BankQueue::clear()
 }
 
 void
-ChannelController::enqueue(MemRequest &&req, const DecodedAddr &dec)
+ChannelController::enqueue(MemPacket &&req, const DecodedAddr &dec)
 {
     // The capacity is a soft cap: demand traffic respects
     // canAccept(), while write-backs may transiently overshoot so
@@ -268,11 +287,14 @@ ChannelController::trySchedule()
 
         const Tick now = eq_.now();
 
-        // One pass over the banks that have work: offer every ready
-        // candidate to the selection policy while tracking the
-        // globally oldest request (for starvation control) and the
-        // earliest tick anything becomes ready.
-        policy_->begin();
+        // One pass over the banks that have work: note the oldest
+        // ready open-buffer hit and the oldest ready FIFO front of
+        // each tier (index 0: flagged reads under ReadPriority;
+        // 1: everything else) while tracking the globally oldest
+        // request (for starvation control) and the earliest tick
+        // anything becomes ready.
+        Oldest hit[2];
+        Oldest fifo[2];
         std::uint64_t headSeq = noSeq;
         Pending *head = nullptr;
         Tick headReadyAt = noTick;
@@ -304,9 +326,10 @@ ChannelController::trySchedule()
                 headReadyAt = readyAt;
             }
             if (readyAt <= now) {
-                policy_->offer({b, 0, front.seq, la.hit,
-                                front.req.isWrite,
-                                front.req.priority});
+                const unsigned t = tierOf(front.req);
+                fifo[t].offer(front.seq, b, 0);
+                if (la.hit)
+                    hit[t].offer(front.seq, b, 0);
             } else if (readyAt < nextWake) {
                 nextWake = readyAt;
             }
@@ -318,10 +341,8 @@ ChannelController::trySchedule()
                     std::max(bank.nextReady(),
                              busReadyAt(timing_.cyc(timing_.tCAS)));
                 if (hitReady <= now) {
-                    policy_->offer(
-                        {b, static_cast<std::size_t>(bq.hitPos),
-                         h.seq, true, h.req.isWrite,
-                         h.req.priority});
+                    hit[tierOf(h.req)].offer(
+                        h.seq, b, static_cast<std::size_t>(bq.hitPos));
                 } else if (hitReady < nextWake) {
                     nextWake = hitReady;
                 }
@@ -341,16 +362,24 @@ ChannelController::trySchedule()
             return;
         }
 
-        SchedCandidate pick;
-        if (!policy_->choose(pick)) {
+        // The upper tier before the lower; within a tier a hit
+        // before a front.
+        const Oldest *pick = nullptr;
+        for (const Oldest *c : {&hit[0], &fifo[0], &hit[1], &fifo[1]}) {
+            if (c->seq != noSeq) {
+                pick = c;
+                break;
+            }
+        }
+        if (pick == nullptr) {
             if (nextWake != noTick)
                 scheduleWakeup(nextWake);
             return;
         }
 
-        if (pick.seq != headSeq)
+        if (pick->seq != headSeq)
             ++head->bypassed;
-        issueFrom(pick.bank, pick.pos);
+        issueFrom(pick->bank, pick->pos);
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Per-channel memory controller with an FR-FCFS scheduler
- * (first-ready, first-come-first-served; Rixner et al.).
+ * (first-ready, first-come-first-served; Rixner et al.), optionally
+ * with flagged reads as an upper selection tier.
  */
 
 #ifndef RCNVM_MEM_CONTROLLER_HH_
@@ -11,20 +12,24 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/bank.hh"
 #include "mem/geometry.hh"
 #include "mem/request.hh"
-#include "mem/sched_policy.hh"
 #include "mem/timing.hh"
 #include "sim/event_queue.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
 namespace rcnvm::mem {
+
+/** Request-selection rule of a channel controller. */
+enum class SchedPolicyKind {
+    FrFcfs,       //!< first-ready FCFS (default; Rixner et al.)
+    ReadPriority, //!< flagged reads first, FR-FCFS within each tier
+};
 
 /** Statistics collected by one channel controller. */
 struct ControllerStats {
@@ -55,15 +60,18 @@ struct ControllerStats {
  * One channel: per-bank request queues, the channel's banks, and the
  * shared data bus. Requests complete asynchronously via callbacks.
  *
- * Selection is delegated to a pluggable SchedulerPolicy (FR-FCFS by
- * default: the oldest request that hits an open buffer on a ready
- * bank is served first; otherwise the oldest ready request). A
- * request is ready only when its bank can start the command AND the
- * shared bus will be free by the time its data burst begins, so bus
- * slots are granted in scheduling order rather than being committed
+ * Selection is FR-FCFS: the oldest request that hits an open buffer
+ * on a ready bank is served first; otherwise the oldest ready FIFO
+ * front (a deeper entry bypasses its bank's front only on the
+ * strength of a hit). Built with SchedPolicyKind::ReadPriority, reads
+ * carrying the packet's priority flag form an upper tier, ranked the
+ * same way and always chosen before the rest. A request is ready
+ * only when its bank can start the command AND the shared bus will
+ * be free by the time its data burst begins, so bus slots are
+ * granted in scheduling order rather than being committed
  * queue-deep in advance (gathered GS-DRAM lines occupy two slots). A
  * starvation cap bounds how many times the globally oldest request
- * may be bypassed by any younger request, independent of policy.
+ * may be bypassed by any younger request, in either tier.
  */
 class ChannelController
 {
@@ -76,26 +84,23 @@ class ChannelController
      * @param salp     give each subarray its own buffer pair
      *                 (subarray-level-parallelism extension)
      * @param channel_id  channel number (trace-event attribution)
-     * @param sched    request-selection policy (default FR-FCFS)
+     * @param sched    request-selection rule (default FR-FCFS)
      */
     ChannelController(const AddressMap &map, const TimingParams &timing,
                       sim::EventQueue &eq, unsigned queue_capacity = 32,
                       bool salp = false, unsigned channel_id = 0,
                       SchedPolicyKind sched = SchedPolicyKind::FrFcfs);
 
-    /** The request-selection policy in use. */
-    const SchedulerPolicy &policy() const { return *policy_; }
-
     /** True when the request queue has room. */
     bool canAccept() const { return totalQueued_ < capacity_; }
 
     /** Add a request whose address @p dec already decodes (caller
      *  must have checked canAccept). */
-    void enqueue(MemRequest &&req, const DecodedAddr &dec);
+    void enqueue(MemPacket &&req, const DecodedAddr &dec);
 
     /** Add a request, decoding its address here. */
     void
-    enqueue(MemRequest &&req)
+    enqueue(MemPacket &&req)
     {
         const DecodedAddr dec = map_.decode(req.addr, req.orient);
         enqueue(std::move(req), dec);
@@ -126,7 +131,7 @@ class ChannelController
 
   private:
     struct Pending {
-        MemRequest req;
+        MemPacket req;
         DecodedAddr dec;
         Tick enqueueTick;
         std::uint64_t seq;    //!< global arrival order
@@ -179,6 +184,14 @@ class ChannelController
     /** Buffer index within the bank for a request orientation. */
     static unsigned bufferIndex(const DecodedAddr &d, Orientation o);
 
+    /** Selection tier of @p req: 0 for a flagged read under
+     *  ReadPriority, 1 for everything else. */
+    unsigned
+    tierOf(const MemPacket &req) const
+    {
+        return readPriority_ && req.priority && !req.isWrite ? 0 : 1;
+    }
+
     /** Issue as many requests as are ready right now. */
     void trySchedule();
 
@@ -214,9 +227,8 @@ class ChannelController
     const AddressMap &map_;
     TimingParams timing_;
     sim::EventQueue &eq_;
-    /** Selection policy; owned per controller because policies may
-     *  keep per-channel state across rounds. */
-    std::unique_ptr<SchedulerPolicy> policy_;
+    /** Flagged reads form an upper selection tier (ReadPriority). */
+    bool readPriority_;
     unsigned capacity_;
     unsigned channelId_;
     std::vector<Bank> banks_;

@@ -173,47 +173,11 @@ HybridMemory::HybridMemory(MemorySystem &far, MemorySystem &near,
                     "construction; use a DRAM device");
 }
 
-bool
-HybridMemory::canAccept(Addr addr, Orientation orient) const
-{
-    if (orient == Orientation::Row) {
-        const DecodedAddr d = far_.map().decode(addr, orient);
-        const std::uint64_t row = remap_.rowId(d);
-        if (routeRowNear(row)) {
-            const Addr na =
-                near_.map().encode(remap_.toNear(d), orient);
-            return near_.canAccept(na, orient);
-        }
-    }
-    return far_.canAccept(addr, orient);
-}
-
 unsigned
 HybridMemory::channelOf(Addr addr, Orientation orient) const
 {
     // Migrations are channel-local, so near and far agree.
     return far_.channelOf(addr, orient);
-}
-
-void
-HybridMemory::issue(MemRequest &&req)
-{
-    if (req.orient == Orientation::Row) {
-        const DecodedAddr d = far_.map().decode(req.addr, req.orient);
-        const std::uint64_t row = remap_.rowId(d);
-        if (routeRowNear(row)) {
-            req.addr = near_.map().encode(remap_.toNear(d), req.orient);
-            touchNear(row, req.isWrite);
-            near_.issue(std::move(req));
-            return;
-        }
-        far_.issue(std::move(req));
-        onFarRowAccess(row);
-        return;
-    }
-    const DecodedAddr d = far_.map().decode(req.addr, req.orient);
-    far_.issue(std::move(req));
-    onColumnAccess(d);
 }
 
 bool
@@ -248,7 +212,7 @@ void
 HybridMemory::setRetryCallback(std::function<void()> cb)
 {
     // Both devices share the client's one hook; a refused client
-    // re-probes canAccept() per packet, so spare wakeups from the
+    // re-tries tryIssue() per packet, so spare wakeups from the
     // other tier are harmless (same contract as multi-channel).
     far_.setRetryCallback(cb);
     near_.setRetryCallback(std::move(cb));

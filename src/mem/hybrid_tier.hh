@@ -129,10 +129,8 @@ class HybridMemory : public MemoryTier
     // MemoryTier -----------------------------------------------------
     const DeviceCaps &caps() const override { return far_.caps(); }
     const AddressMap &map() const override { return far_.map(); }
-    bool canAccept(Addr addr, Orientation orient) const override;
     unsigned channelOf(Addr addr, Orientation orient) const override;
     unsigned channels() const override { return far_.channels(); }
-    void issue(MemRequest &&req) override;
     [[nodiscard]] bool tryIssue(MemPacket &pkt) override;
     void setRetryCallback(std::function<void()> cb) override;
     void registerStats(util::StatRegistry &r) const override;

@@ -45,13 +45,6 @@ MemorySystem::MemorySystem(DeviceKind kind, sim::EventQueue &eq,
             map_, timing, eq, queue_capacity, salp, c, sched));
 }
 
-bool
-MemorySystem::canAccept(Addr addr, Orientation orient) const
-{
-    const DecodedAddr d = map_.decode(addr, orient);
-    return channels_[d.channel]->canAccept();
-}
-
 unsigned
 MemorySystem::channelOf(Addr addr, Orientation orient) const
 {
@@ -59,7 +52,7 @@ MemorySystem::channelOf(Addr addr, Orientation orient) const
 }
 
 void
-MemorySystem::issue(MemRequest &&req)
+MemorySystem::issue(MemPacket &&req)
 {
     if (req.orient == Orientation::Column && !caps_.columnAccess) {
         rcnvm_panic("column-oriented request issued to ",
@@ -98,7 +91,7 @@ void
 MemorySystem::setRetryCallback(std::function<void()> cb)
 {
     // All channels share the one client-side retry hook: a client
-    // that was refused re-probes canAccept() per packet, so a spare
+    // that was refused re-tries tryIssue() per packet, so a spare
     // wakeup from another channel is harmless.
     for (auto &ch : channels_)
         ch->setSpaceCallback(cb);

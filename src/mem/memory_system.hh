@@ -27,8 +27,9 @@ namespace rcnvm::mem {
  * accept line packets and complete them asynchronously: a single
  * device (MemorySystem) or a composition such as the hybrid
  * DRAM-fronting-RC-NVM tier (HybridMemory). The interface is exactly
- * the surface the hierarchy already consumed, so single-tier
- * machines pay only a devirtualisable indirection.
+ * what its callers use: the hierarchy issues demand and write-back
+ * traffic only through the backpressured tryIssue, and the machine
+ * registers statistics, samples queue depth and resets through it.
  */
 class MemoryTier
 {
@@ -42,17 +43,11 @@ class MemoryTier
     /** The address map client addresses are expressed in. */
     virtual const AddressMap &map() const = 0;
 
-    /** True when a request can be queued right now. */
-    virtual bool canAccept(Addr addr, Orientation orient) const = 0;
-
     /** Channel a packet to this address/orientation would use. */
     virtual unsigned channelOf(Addr addr, Orientation orient) const = 0;
 
     /** Number of channels (for per-channel client bookkeeping). */
     virtual unsigned channels() const = 0;
-
-    /** Queue a request unconditionally (write-back overshoot). */
-    virtual void issue(MemRequest &&req) = 0;
 
     /** Backpressured issue; on refusal @p pkt is left untouched. */
     [[nodiscard]] virtual bool tryIssue(MemPacket &pkt) = 0;
@@ -73,7 +68,7 @@ class MemoryTier
 /**
  * A complete main-memory subsystem (RC-NVM, RRAM, DRAM, or GS-DRAM):
  * the Figure-6 organisation of channels x ranks x banks x subarrays
- * behind per-channel pluggable-policy (default FR-FCFS) controllers.
+ * behind per-channel FR-FCFS controllers.
  */
 class MemorySystem : public MemoryTier
 {
@@ -92,7 +87,7 @@ class MemorySystem : public MemoryTier
 
     /**
      * Full-control constructor: explicit geometry (scaling studies
-     * and multi-channel benchmarks) and scheduling policy.
+     * and multi-channel benchmarks) and selection rule.
      */
     MemorySystem(DeviceKind kind, sim::EventQueue &eq,
                  const TimingParams &timing, bool salp,
@@ -108,9 +103,6 @@ class MemorySystem : public MemoryTier
     /** The device's dual (or single) address map. */
     const AddressMap &map() const override { return map_; }
 
-    /** True when a request can be queued right now. */
-    bool canAccept(Addr addr, Orientation orient) const override;
-
     /** Channel a packet to this address/orientation would use. */
     unsigned channelOf(Addr addr, Orientation orient) const override;
 
@@ -121,11 +113,12 @@ class MemorySystem : public MemoryTier
     }
 
     /**
-     * Queue a request. Column-oriented requests are rejected with a
-     * panic on devices without column access (the compiler must not
-     * emit them).
+     * Queue a request unconditionally, past the channel's capacity
+     * if need be (the hybrid tier's copy traffic). Column-oriented
+     * requests are rejected with a panic on devices without column
+     * access (the compiler must not emit them).
      */
-    void issue(MemRequest &&req) override;
+    void issue(MemPacket &&req);
 
     /**
      * Backpressured issue: queue @p pkt only if its channel has

@@ -33,10 +33,10 @@ struct MemPacket {
     Orientation orient = Orientation::Row;
     bool isWrite = false;
     bool gathered = false;
-    /** Latency-class traffic (OLTP-class requests): the read-
-     *  priority scheduler policy lets reads carrying this flag
-     *  bypass queued writes, bounded by the controller's global
-     *  starvation cap. Internal traffic (write-backs) never sets
+    /** Latency-class traffic (OLTP-class requests): a controller
+     *  built with SchedPolicyKind::ReadPriority serves reads
+     *  carrying this flag before all other traffic, bounded by its
+     *  global starvation cap. Internal traffic (write-backs) never sets
      *  it. */
     bool priority = false;
 
@@ -65,10 +65,6 @@ struct MemPacket {
 // allocation per simulated miss.
 static_assert(sizeof(MemPacket) <= 152, "MemPacket outgrew the "
               "event-queue inline callback budget");
-
-/** Historical name, kept for call sites that predate the packet
- *  pipeline; a request and a packet are the same object. */
-using MemRequest = MemPacket;
 
 } // namespace rcnvm::mem
 
